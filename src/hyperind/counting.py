@@ -56,8 +56,9 @@ def count_brute(g: Hypergraph, cap: int | None = None) -> int:
     return total
 
 
-def independent_set_masks(g: Hypergraph, cap: int | None = None) -> list[int]:
-    """All independent sets as bitmasks, in increasing order of the encoding."""
+def independent_set_masks(g: Hypergraph, cap: int | None = None) -> np.ndarray:
+    """All independent sets as a ``np.uint64`` array of bitmasks, in increasing
+    order of the encoding."""
     cap = LIST_CAP if cap is None else cap
     if g.n > cap:
         raise CapacityError(
@@ -66,14 +67,14 @@ def independent_set_masks(g: Hypergraph, cap: int | None = None) -> list[int]:
     ok = np.ones(1 << g.n, dtype=bool)
     for em in np.array(g.edge_masks, dtype=np.uint64) if g.edges else []:
         ok &= (subs & em) != em
-    return [int(m) for m in subs[ok]]
+    return subs[ok]
 
 
 def list_independent_sets(g: Hypergraph,
                           cap: int | None = None) -> Iterator[frozenset[int]]:
     """Yield every independent set exactly once, in lexicographic order of
     the subset encoding."""
-    for m in independent_set_masks(g, cap=cap):
+    for m in independent_set_masks(g, cap=cap).tolist():
         yield frozenset(vertices_of(m))
 
 

@@ -10,16 +10,16 @@ base-2 logarithm, so every float inequality is checked at a small tolerance.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log2
 from typing import Iterable
 
+import numpy as np
+
 from .constructions import build_complete_r_partite, build_hrd, \
     build_transversal_design_3
-from .core import Hypergraph, QuasiBipartition, mask_of, quasi_bipartition, \
-    vertices_of
+from .core import Hypergraph, mask_of, quasi_bipartition, vertices_of
 from .counting import count_auto, count_brute, independent_set_masks, \
     ind_hrd_formula
 from .errors import CapacityError, InvalidArgumentError
@@ -166,24 +166,51 @@ def compare_constructions(r: int, t: int | None = None,
 # Exact distributions and entropy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetDistribution:
     """Exact probability table over the configurations of a vertex subset.
 
-    Configurations are bitmasks within `domain`; each weight is an integer
-    numerator over the common denominator `total`.
+    `configs` holds the supported configurations, as bitmasks within
+    `domain`, in a sorted ``np.uint64`` array; `counts` holds their integer
+    weights, numerators over the common denominator `total`.  Both arrays
+    are read-only.
     """
 
     domain: int
-    weights: dict[int, int] = field(hash=False)
+    configs: np.ndarray
+    counts: np.ndarray
     total: int
+
+    def __post_init__(self) -> None:
+        self.configs.flags.writeable = False
+        self.counts.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubsetDistribution):
+            return NotImplemented
+        return (self.domain == other.domain and self.total == other.total
+                and np.array_equal(self.configs, other.configs)
+                and np.array_equal(self.counts, other.counts))
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.total))
+
+    @property
+    def weights(self) -> dict[int, int]:
+        """Configuration -> weight, in increasing order of configuration."""
+        return dict(zip(self.configs.tolist(), self.counts.tolist()))
 
     def probability(self, config: Iterable[int] | int) -> Fraction:
         cmask = config if isinstance(config, int) else mask_of(config)
-        return Fraction(self.weights.get(cmask, 0), self.total)
+        w = 0
+        if not cmask & ~self.domain:
+            i = int(np.searchsorted(self.configs, np.uint64(cmask)))
+            if i < len(self.configs) and int(self.configs[i]) == cmask:
+                w = int(self.counts[i])
+        return Fraction(w, self.total)
 
     def support(self) -> list[frozenset[int]]:
-        return [frozenset(vertices_of(c)) for c in sorted(self.weights)]
+        return [frozenset(vertices_of(c)) for c in self.configs.tolist()]
 
 
 def joint_distribution(g: Hypergraph,
@@ -195,9 +222,18 @@ def joint_distribution(g: Hypergraph,
         raise CapacityError(
             f"joint_distribution capped at n <= {cap}, got n = {g.n}")
     masks = independent_set_masks(g, cap=cap)
-    return SubsetDistribution(domain=(1 << g.n) - 1,
-                              weights={m: 1 for m in masks},
+    return SubsetDistribution(domain=(1 << g.n) - 1, configs=masks,
+                              counts=np.ones(len(masks), dtype=np.int64),
                               total=len(masks))
+
+
+def _project(configs: np.ndarray, counts: np.ndarray,
+             smask: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of configs & smask, ascending, with their summed
+    integer weights.  np.repeat expands each weight into that many copies,
+    so np.unique's counts are the exact sums."""
+    return np.unique(np.repeat(configs & np.uint64(smask), counts),
+                     return_counts=True)
 
 
 def marginal(dist: SubsetDistribution,
@@ -206,19 +242,21 @@ def marginal(dist: SubsetDistribution,
     smask = s if isinstance(s, int) else mask_of(s)
     if smask & ~dist.domain:
         raise InvalidArgumentError("marginal coordinates outside the domain")
-    weights: dict[int, int] = {}
-    for config, w in dist.weights.items():
-        proj = config & smask
-        weights[proj] = weights.get(proj, 0) + w
-    return SubsetDistribution(domain=smask, weights=weights, total=dist.total)
+    configs, counts = _project(dist.configs, dist.counts, smask)
+    return SubsetDistribution(domain=smask, configs=configs, counts=counts,
+                              total=dist.total)
 
 
 def entropy(dist: SubsetDistribution) -> float:
-    """Shannon entropy in bits: log2(total) - (1/total) * sum w*log2(w)."""
+    """Shannon entropy in bits: log2(total) - (1/total) * sum w*log2(w).
+
+    The sum runs over Python ints in increasing order of configuration, one
+    float addition at a time, so the result does not depend on numpy's
+    summation order.
+    """
     acc = 0.0
-    for w in dist.weights.values():
-        if w > 1:
-            acc += w * log2(w)
+    for w in dist.counts[dist.counts > 1].tolist():
+        acc += w * log2(w)
     return log2(dist.total) - acc / dist.total
 
 
@@ -311,15 +349,15 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
     ind_g = dist.total
     h_x = entropy(dist)
 
-    links = {a: g.link(a) for a in a_side}
-    span_masks = {a: mask_of(links[a].span) for a in a_side}
+    span_masks = {a: mask_of(v for e in cert.link_matchings[a] for v in e)
+                  for a in a_side}
     steps: list[ProofStep] = []
     findings: list[str] = []
 
     # (1) exact d-cover of B by the link spans
     cover = {b: 0 for b in cert.b_side}
     for a in a_side:
-        for b in links[a].span:
+        for b in vertices_of(span_masks[a]):
             cover[b] += 1
     counts = sorted(cover.values()) or [d]
     steps.append(ProofStep("cover-validity", float(counts[0]), float(counts[-1]),
@@ -357,11 +395,10 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
         smask = span_masks[a]
         abit = 1 << a
         marg = marginal(dist, smask)
-        with_a: dict[int, int] = {}
-        for full, w in dist.weights.items():
-            if full & abit:
-                c = full & smask
-                with_a[c] = with_a.get(c, 0) + w
+        has_a = (dist.configs & np.uint64(abit)) != 0
+        a_configs, a_counts = _project(dist.configs[has_a],
+                                       dist.counts[has_a], smask)
+        with_a = dict(zip(a_configs.tolist(), a_counts.tolist()))
         lambdas: dict[int, int] = {}
         for config, w_total in marg.weights.items():
             lam = 2 if g.is_independent(config | abit) else 1
@@ -384,7 +421,8 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
             worst_jensen = (jensen_lhs, jensen_rhs)
         # (6) exact counting bound
         span_size = smask.bit_count()
-        link_graph = links[a].graph.restrict(links[a].span)
+        link_graph = Hypergraph(g.n, cert.link_matchings[a]).restrict(
+            vertices_of(smask))
         ind_link = count_brute(link_graph)
         bound6 = 2 ** span_size + (2 ** d - 1) * ind_link
         if lam_sum > bound6:
