@@ -9,6 +9,7 @@ from hyperind import (Hypergraph, InvalidArgumentError, build_hrd,
                       compare_constructions, conditional_entropy,
                       disjoint_union, entropy, joint_distribution, marginal,
                       random_quasi_bipartite, verify_proof_steps)
+from hyperind.core import vertices_of
 from hyperind.counting import count_brute
 from hyperind.verification import is_union_of_kdd
 
@@ -178,6 +179,76 @@ class TestDistributions:
         assert entropy(dist) == pytest.approx(
             entropy(marginal(dist, b)) + conditional_entropy(dist, a, b),
             abs=1e-12)
+
+
+def _dict_marginal(weights: dict[int, int], smask: int) -> dict[int, int]:
+    """The dict-loop projection the array code replaced, kept as a reference."""
+    out: dict[int, int] = {}
+    for config, w in weights.items():
+        proj = config & smask
+        out[proj] = out.get(proj, 0) + w
+    return out
+
+
+def _dict_entropy(weights: dict[int, int], total: int) -> float:
+    acc = 0.0
+    for w in weights.values():
+        if w > 1:
+            acc += w * math.log2(w)
+    return math.log2(total) - acc / total
+
+
+class TestArraysMatchDictReference:
+    def _check(self, dist, ref):
+        # same weights in the same iteration order, and a bit-identical entropy
+        assert list(dist.weights.items()) == list(ref.items())
+        assert all(type(w) is int for w in dist.weights.values())
+        assert type(dist.total) is int
+        assert entropy(dist) == _dict_entropy(ref, dist.total)
+
+    def test_random_hypergraphs(self):
+        from conftest import random_hypergraph
+        rng = random.Random(20261018)
+        for _ in range(40):
+            n = rng.randint(0, 12)
+            g = random_hypergraph(n, rng.choice((2, 3)), rng)
+            dist = joint_distribution(g)
+            ref = {m: 1 for m in range(1 << n) if g.is_independent(m)}
+            self._check(dist, ref)
+            subsets = [1 << v for v in range(n)]
+            subsets += [rng.getrandbits(n) for _ in range(6)] + [dist.domain]
+            for s in subsets:
+                m = marginal(dist, s)
+                ref_m = _dict_marginal(ref, s)
+                self._check(m, ref_m)
+                t = s & rng.getrandbits(n)
+                self._check(marginal(m, t), _dict_marginal(ref_m, t))
+                assert marginal(m, t) == marginal(dist, t)
+
+    def test_probability_and_support_on_small_cases(self):
+        for g in (Hypergraph(2, [(0, 1)]), Hypergraph(2), build_hrd(3, 1)[0],
+                  build_hrd(2, 2)[0], cycle(5)):
+            dist = joint_distribution(g)
+            ind = [m for m in range(1 << g.n) if g.is_independent(m)]
+            assert dist.support() == [frozenset(vertices_of(m)) for m in ind]
+            for m in range(1 << (g.n + 1)):
+                want = Fraction(1 if m in ind else 0, len(ind))
+                assert dist.probability(m) == want
+                assert dist.probability(vertices_of(m)) == want
+            m0 = marginal(dist, {0})
+            n0 = sum(1 for m in ind if m & 1)
+            assert m0.probability({0}) == Fraction(n0, len(ind))
+            assert m0.probability(frozenset()) == Fraction(len(ind) - n0, len(ind))
+            assert m0.probability({1}) == 0
+
+    def test_equality_and_hash(self):
+        g, _ = build_hrd(3, 2)
+        dist = joint_distribution(g)
+        assert marginal(dist, 0b11) == marginal(dist, 0b11)
+        assert hash(marginal(dist, 0b11)) == hash(marginal(dist, 0b11))
+        assert marginal(dist, 0b11) != marginal(dist, 0b101)
+        assert dist != marginal(dist, dist.domain ^ 1)
+        assert dist == marginal(dist, dist.domain)
 
 
 class TestProofSteps:
