@@ -284,6 +284,12 @@ def _binary_entropy(w1: int, w0: int) -> float:
 # Proof-step verification
 
 
+def _tighter(best: tuple | None, lhs, rhs) -> tuple:
+    """The tighter of `best` and (lhs, rhs) for a step lhs <= rhs: the one
+    with the larger lhs - rhs, keeping the earlier one on ties."""
+    return (lhs, rhs) if best is None or lhs - rhs > best[0] - best[1] else best
+
+
 @dataclass(frozen=True)
 class ProofStep:
     name: str
@@ -383,14 +389,9 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
                 f"conditioning reduction differs by {diff:.3e} bits at vertex {a}")
     steps.append(ProofStep("conditioning-reduction", worst_eq, 0.0, True))
 
-    # per-a data for steps (4)-(7)
+    # per-a data for steps (4)-(7); each step reports its tightest (lhs, rhs)
     lambda_pass = True
-    worst_lambda_margin = 0.0
-    worst_jensen = (0.0, 0.0)
-    count_bound_pass = True
-    worst_count = (0, 0)
-    link_bound_pass = True
-    worst_link = (0, 0)
+    worst_lambda = worst_jensen = worst_count = worst_link = None
     for a in a_side:
         smask = span_masks[a]
         abit = 1 << a
@@ -406,10 +407,8 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
             # (4) conditional entropy of X_a given the exact configuration
             w1 = with_a.get(config, 0)
             h_cond = _binary_entropy(w1, w_total - w1)
-            margin = h_cond - log2(lam)
-            if margin > worst_lambda_margin:
-                worst_lambda_margin = margin
-            if margin > eps or lam not in (1, 2):
+            worst_lambda = _tighter(worst_lambda, h_cond, log2(lam))
+            if h_cond - log2(lam) > eps or lam not in (1, 2):
                 lambda_pass = False
         # (5) Jensen
         lam_sum = sum(lam ** d for lam in lambdas.values())
@@ -417,33 +416,27 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
             (w / marg.total) * (d * log2(lambdas[c]) - log2(w / marg.total))
             for c, w in marg.weights.items())
         jensen_rhs = log2(lam_sum)
-        if jensen_lhs - jensen_rhs > worst_jensen[0] - worst_jensen[1]:
-            worst_jensen = (jensen_lhs, jensen_rhs)
+        worst_jensen = _tighter(worst_jensen, jensen_lhs, jensen_rhs)
         # (6) exact counting bound
         span_size = smask.bit_count()
         link_graph = Hypergraph(g.n, cert.link_matchings[a]).restrict(
             vertices_of(smask))
         ind_link = count_brute(link_graph)
         bound6 = 2 ** span_size + (2 ** d - 1) * ind_link
-        if lam_sum > bound6:
-            count_bound_pass = False
-        if lam_sum - bound6 > worst_count[0] - worst_count[1]:
-            worst_count = (lam_sum, bound6)
+        worst_count = _tighter(worst_count, lam_sum, bound6)
         # (7) exact link bound
         bound7 = (2 ** (r - 1) - 1) ** d
-        if ind_link > bound7:
-            link_bound_pass = False
-        if ind_link - bound7 > worst_link[0] - worst_link[1]:
-            worst_link = (ind_link, bound7)
+        worst_link = _tighter(worst_link, ind_link, bound7)
 
-    steps.append(ProofStep("lambda-bound", worst_lambda_margin, 0.0,
-                           lambda_pass and worst_lambda_margin <= eps))
+    steps.append(ProofStep("lambda-bound", worst_lambda[0], worst_lambda[1],
+                           lambda_pass))
     steps.append(ProofStep("jensen", worst_jensen[0], worst_jensen[1],
                            worst_jensen[0] <= worst_jensen[1] + eps))
     steps.append(ProofStep("counting-bound", float(worst_count[0]),
-                           float(worst_count[1]), count_bound_pass))
+                           float(worst_count[1]),
+                           worst_count[0] <= worst_count[1]))
     steps.append(ProofStep("link-bound", float(worst_link[0]),
-                           float(worst_link[1]), link_bound_pass))
+                           float(worst_link[1]), worst_link[0] <= worst_link[1]))
 
     # (8) final bound
     hrd_bound = (g.n / (r * d)) * log2(ind_hrd_formula(r, d))

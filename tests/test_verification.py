@@ -266,6 +266,22 @@ class TestProofSteps:
         steps = {s.name: s for s in rep.steps}
         assert steps["counting-bound"].margin == 0
         assert steps["link-bound"].margin == 0
+        assert (steps["counting-bound"].lhs, steps["counting-bound"].rhs) == (43, 43)
+        assert (steps["link-bound"].lhs, steps["link-bound"].rhs) == (9, 9)
+
+    def test_random_instance_reports_tightest_values(self):
+        # Each link of a d-regular quasi-bipartite graph is d disjoint
+        # (r-1)-sets and B is independent, so steps 6 and 7 are equalities
+        # on every such input, at their true values.  Jensen is strict away
+        # from the extremal family, so its tightest margin is positive.
+        g = random_quasi_bipartite(3, 2, 5, random.Random(7))
+        rep = verify_proof_steps(g)
+        assert rep.all_passed
+        steps = {s.name: s for s in rep.steps}
+        assert steps["counting-bound"].lhs == steps["counting-bound"].rhs == 43
+        assert steps["link-bound"].lhs == steps["link-bound"].rhs == 9
+        assert steps["jensen"].margin > 1e-6
+        assert steps["jensen"].rhs == pytest.approx(math.log2(43), abs=1e-12)
 
     def test_k22_final_equality(self):
         g = Hypergraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
