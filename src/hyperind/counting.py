@@ -63,11 +63,15 @@ def independent_set_masks(g: Hypergraph, cap: int | None = None) -> np.ndarray:
     if g.n > cap:
         raise CapacityError(
             f"independent set listing capped at n <= {cap}, got n = {g.n}")
-    subs = np.arange(1 << g.n, dtype=np.uint64)
-    ok = np.ones(1 << g.n, dtype=bool)
-    for em in np.array(g.edge_masks, dtype=np.uint64) if g.edges else []:
-        ok &= (subs & em) != em
-    return subs[ok]
+    emasks = np.array(g.edge_masks, dtype=np.uint64)
+    parts = []
+    for start in range(0, 1 << g.n, _CHUNK):
+        subs = np.arange(start, min(start + _CHUNK, 1 << g.n), dtype=np.uint64)
+        ok = np.ones(len(subs), dtype=bool)
+        for em in emasks:
+            ok &= (subs & em) != em
+        parts.append(subs[ok])
+    return np.concatenate(parts)
 
 
 def list_independent_sets(g: Hypergraph,
