@@ -6,6 +6,12 @@ integer comparison ind(G)^(rd) <= ind(H(r,d))^n; floating point is used only
 for reported entropies and slack, never for verdicts.  All probabilities are
 exact rationals with denominator ind(G); the only rounding site is the final
 base-2 logarithm, so every float inequality is checked at a small tolerance.
+
+The joint distribution is the numpy array of independent-set bitmasks, each
+with count 1.  A marginal projects the masks onto a vertex subset and counts
+the distinct projections with ``np.unique``, so no Python loop runs over the
+independent sets.  Counts leave the arrays as Python ints before they reach a
+``Fraction``, an entropy sum or a report.
 """
 
 from __future__ import annotations
