@@ -178,18 +178,13 @@ class SubsetDistribution:
 
     `configs` holds the supported configurations, as bitmasks within
     `domain`, in a sorted ``np.uint64`` array; `counts` holds their integer
-    weights, numerators over the common denominator `total`.  Both arrays
-    are read-only.
+    weights, numerators over the common denominator `total`.
     """
 
     domain: int
     configs: np.ndarray
     counts: np.ndarray
     total: int
-
-    def __post_init__(self) -> None:
-        self.configs.flags.writeable = False
-        self.counts.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubsetDistribution):
