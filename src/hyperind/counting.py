@@ -3,7 +3,8 @@
 Three routes, all returning exact Python integers:
 
 * ``ind_hrd_formula`` -- the closed form for the extremal family H(r,d),
-* ``count_brute`` -- exhaustive subset iteration (vectorized with numpy),
+* ``count_brute`` -- exhaustive subset iteration, bit-parallel: one bit per
+  subset of the low vertices in a Python integer,
 * ``count_branch`` -- branch-and-reduce on the monotone constraint system
   "not all of e selected", one constraint per edge, with component
   decomposition at every node.
@@ -14,6 +15,7 @@ against it, never the other way around.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -25,6 +27,7 @@ BRUTE_CAP = 30
 LIST_CAP = 24
 
 _CHUNK = 1 << 20
+_LOW_BITS = 20
 
 
 def ind_hrd_formula(r: int, d: int) -> int:
@@ -38,22 +41,54 @@ def ind_hrd_formula(r: int, d: int) -> int:
 
 
 def count_brute(g: Hypergraph, cap: int | None = None) -> int:
-    """Count independent sets by checking every one of the 2^n subsets."""
+    """Count independent sets by checking every one of the 2^n subsets.
+
+    A subset S is split into its low part (vertices below k = min(n, 20))
+    and its high part.  For each assignment of the high vertices, bit s of
+    one 2^k-bit integer marks the low parts s for which some edge lies
+    inside S; that integer is the OR over the edges whose high part fits the
+    assignment of the AND of their low vertices' patterns, and its unset
+    bits are the independent sets with that high part.
+    """
     cap = BRUTE_CAP if cap is None else cap
     if g.n > cap:
         raise CapacityError(f"count_brute capped at n <= {cap}, got n = {g.n}")
-    if not g.edges:
-        return 2 ** g.n
-    emasks = np.array(g.edge_masks, dtype=np.uint64)
+    k = min(g.n, _LOW_BITS)
+    patterns = _low_patterns(k)
+    everything = (1 << (1 << k)) - 1
+    split = []
+    for e in g.edges:
+        high, low = 0, everything
+        for v in e:
+            if v < k:
+                low &= patterns[v]
+            else:
+                high |= 1 << (v - k)
+        split.append((high, low))
     total = 0
-    for start in range(0, 1 << g.n, _CHUNK):
-        stop = min(start + _CHUNK, 1 << g.n)
-        subs = np.arange(start, stop, dtype=np.uint64)
-        ok = np.ones(stop - start, dtype=bool)
-        for em in emasks:
-            ok &= (subs & em) != em
-        total += int(ok.sum())
+    for assignment in range(1 << (g.n - k)):
+        hit = 0
+        for high, low in split:
+            if high & assignment == high:
+                hit |= low
+        total += (1 << k) - hit.bit_count()
     return total
+
+
+@lru_cache(maxsize=None)
+def _low_patterns(k: int) -> tuple[int, ...]:
+    """For each v < k, the 2^k-bit integer whose bit s is set iff v is in
+    the subset s.  k is at most 20, so the cache holds at most 21 tuples,
+    about 5 MB in all."""
+    patterns = []
+    for v in range(k):
+        half = 1 << v
+        pattern, width = ((1 << half) - 1) << half, 2 * half
+        while width < 1 << k:
+            pattern |= pattern << width
+            width *= 2
+        patterns.append(pattern)
+    return tuple(patterns)
 
 
 def independent_set_masks(g: Hypergraph, cap: int | None = None) -> np.ndarray:

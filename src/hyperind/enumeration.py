@@ -1,10 +1,15 @@
 """Exhaustive generation of d-regular r-uniform hypergraphs on n labeled
 vertices, optionally up to isomorphism.
 
-Backtracking over candidate r-subsets in lexicographic order while tracking
-residual degrees; a branch is pruned as soon as some vertex cannot reach its
-target degree from the remaining candidates.  Emission order is deterministic.
-The search tree can be partitioned by first-edge prefix for work-splitting.
+Edges are chosen in increasing lexicographic order while tracking residual
+degrees.  At each step the lowest vertex v that still needs edges must be the
+smallest vertex of the next edge, because every vertex below v is full and
+every later edge is lexicographically larger.  So the search branches only
+over the candidates whose smallest vertex is v, one contiguous block of the
+sorted candidate list, skipping those that touch a full vertex.  A graph is
+emitted once it has n*d/r edges.  Emission order is the lexicographic order
+of the sorted edge lists, and deterministic.  The search tree can be
+partitioned by first-edge prefix for work-splitting.
 """
 
 from __future__ import annotations
@@ -56,15 +61,15 @@ def enumerate_regular(spec: EnumSpec,
     if not spec.feasible:
         return 0
     candidates = list(itertools.combinations(range(spec.n), spec.r))
+    masks = [core.mask_of(e) for e in candidates]
     m = spec.num_edges
 
-    # suffix[i][v] = candidates at index >= i containing v
-    suffix = [[0] * spec.n for _ in range(len(candidates) + 1)]
-    for i in range(len(candidates) - 1, -1, -1):
-        row = suffix[i]
-        row[:] = suffix[i + 1]
-        for v in candidates[i]:
-            row[v] += 1
+    # candidates[block[v]:block[v + 1]] are the edges whose smallest vertex is v
+    block = [0] * (spec.n + 1)
+    for e in candidates:
+        block[e[0] + 1] += 1
+    for v in range(spec.n):
+        block[v + 1] += block[v]
 
     residual = [spec.d] * spec.n
     chosen: list[tuple[int, ...]] = []
@@ -87,38 +92,39 @@ def enumerate_regular(spec: EnumSpec,
     seen_canon: set[Hypergraph] = set()
     emitted = 0
 
-    def feasible_from(i: int) -> bool:
-        return all(residual[v] <= suffix[i][v] for v in range(spec.n))
-
-    def rec(i: int) -> None:
+    def rec(i: int, full: int) -> None:
         nonlocal emitted
         if len(chosen) == m:
-            if all(res == 0 for res in residual):
-                g = Hypergraph(spec.n, chosen)
-                if spec.up_to_iso:
-                    canon = canonical_form(g)
-                    if canon in seen_canon:
-                        return
-                    seen_canon.add(canon)
-                    g = canon
-                emitted += 1
-                if visit is not None:
-                    visit(g)
+            # m edges carry all n*d incidences, so every residual is 0
+            g = Hypergraph(spec.n, chosen)
+            if spec.up_to_iso:
+                canon = canonical_form(g)
+                if canon in seen_canon:
+                    return
+                seen_canon.add(canon)
+                g = canon
+            emitted += 1
+            if visit is not None:
+                visit(g)
             return
-        if i >= len(candidates) or not feasible_from(i):
-            return
-        e = candidates[i]
-        if all(residual[v] >= 1 for v in e):
-            for v in e:
-                residual[v] -= 1
+        # every vertex below v is full, so the next edge starts at v
+        v = (~full & (full + 1)).bit_length() - 1
+        for j in range(max(i, block[v]), block[v + 1]):
+            if masks[j] & full:
+                continue
+            e = candidates[j]
+            now_full = full
+            for u in e:
+                residual[u] -= 1
+                if not residual[u]:
+                    now_full |= 1 << u
             chosen.append(e)
-            rec(i + 1)
+            rec(j + 1, now_full)
             chosen.pop()
-            for v in e:
-                residual[v] += 1
-        rec(i + 1)
+            for u in e:
+                residual[u] += 1
 
-    rec(start)
+    rec(start, core.mask_of(v for v in range(spec.n) if residual[v] == 0))
     return emitted
 
 
@@ -127,8 +133,11 @@ def first_edge_choices(spec: EnumSpec) -> list[tuple[int, ...]]:
 
     Every emission either extends exactly one of these one-edge prefixes, so
     enumerating each prefix separately and concatenating reproduces the
-    unsplit run.
+    unsplit run.  With d >= 1 vertex 0 lies in some edge, so the smallest
+    edge contains it; first edges without vertex 0 would emit nothing and
+    are left out.
     """
     if not spec.feasible or spec.num_edges == 0:
         return []
-    return list(itertools.combinations(range(spec.n), spec.r))
+    return [(0,) + rest
+            for rest in itertools.combinations(range(1, spec.n), spec.r - 1)]

@@ -149,6 +149,19 @@ class TestEnumerate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_workers_emit_same_files(self, capsys, tmp_path):
+        written = []
+        for workers in ("1", "2"):
+            outdir = tmp_path / workers
+            code, out, _ = run(capsys, ["enumerate", "--r", "2", "--d", "2",
+                                        "--n", "7", "--emit", str(outdir),
+                                        "--workers", workers])
+            assert code == 0
+            assert out == "emitted: 465\n"
+            written.append({f.name: f.read_text() for f in outdir.iterdir()})
+        assert len(written[0]) == 465
+        assert written[0] == written[1]
+
     def test_infeasible(self, capsys):
         code, out, _ = run(capsys, ["enumerate", "--r", "3", "--d", "1", "--n", "4"])
         assert code == 0

@@ -59,6 +59,48 @@ class TestBrute:
         assert count_brute(Hypergraph(31), cap=31) == 2 ** 31
 
 
+def mixed_hypergraph(n, rng, max_size=4):
+    """Random edges of sizes 1..max_size (fewer on tiny n)."""
+    edges = []
+    for _ in range(rng.randint(0, n + 2) if n else 0):
+        size = rng.choice([1] + list(range(2, max_size + 1)) * 3)
+        edges.append(rng.sample(range(n), min(size, n)))
+    return Hypergraph(n, edges)
+
+
+def relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Hypergraph(g.n, [[perm[v] for v in e] for e in g.edges])
+
+
+class TestBruteLowHighSplit:
+    """count_brute handles vertices below 20 as bits of one integer and
+    loops over assignments of the rest; these cases cover both sides."""
+
+    def test_mixed_sizes_against_pure_python_oracle(self, rng):
+        for n in range(15):
+            assert count_brute(Hypergraph(n)) == 2 ** n
+            for _ in range(3 if n <= 10 else 1):
+                g = mixed_hypergraph(n, rng)
+                assert count_brute(g) == brute_count(g), g
+
+    def test_unions_across_vertex_20(self, rng):
+        # G1 covers vertices 0..16; G2 sits on 17..n-1, so some of its edges
+        # straddle vertex 20 and some lie entirely above it
+        for n in range(21, 25):
+            g1 = mixed_hypergraph(17, rng)
+            g2 = mixed_hypergraph(n - 17, rng, max_size=3)
+            # local vertex 3 of G2 is vertex 20 of the union
+            g2 = Hypergraph(g2.n, list(g2.edges) + [(2, 3), range(3, g2.n)])
+            union = disjoint_union([g1, g2])
+            assert any(min(e) < 20 <= max(e) for e in union.edges)
+            assert any(min(e) >= 20 for e in union.edges)
+            expected = count_brute(g1) * count_brute(g2)
+            assert count_brute(union) == expected
+            assert count_brute(relabel(union, rng)) == expected
+
+
 class TestBranch:
     def test_single_edge(self):
         assert count_branch(Hypergraph(3, [(0, 1, 2)])) == 7

@@ -13,6 +13,60 @@ def collect(spec):
     return out
 
 
+def reference_emissions(spec):
+    """Candidate-by-candidate DFS with suffix pruning, the enumerator this
+    package used before branching on the lowest unfilled vertex.  It tries
+    every lex-ordered r-subset with an include branch, then an exclude
+    branch, so its emission order is the order to keep."""
+    n, d = spec.n, spec.d
+    if not spec.feasible:
+        return []
+    candidates = list(itertools.combinations(range(n), spec.r))
+    m = spec.num_edges
+    suffix = [[0] * n for _ in range(len(candidates) + 1)]
+    for i in range(len(candidates) - 1, -1, -1):
+        suffix[i][:] = suffix[i + 1]
+        for v in candidates[i]:
+            suffix[i][v] += 1
+    residual = [d] * n
+    chosen = []
+    start = 0
+    for e in spec.prefix:
+        for v in e:
+            residual[v] -= 1
+        chosen.append(tuple(e))
+        start = candidates.index(tuple(e)) + 1
+    out, seen = [], set()
+
+    def rec(i):
+        if len(chosen) == m:
+            if all(res == 0 for res in residual):
+                g = Hypergraph(n, chosen)
+                if spec.up_to_iso:
+                    g = canonical_form(g)
+                    if g in seen:
+                        return
+                    seen.add(g)
+                out.append(g)
+            return
+        if i >= len(candidates) or any(
+                residual[v] > suffix[i][v] for v in range(n)):
+            return
+        e = candidates[i]
+        if all(residual[v] >= 1 for v in e):
+            for v in e:
+                residual[v] -= 1
+            chosen.append(e)
+            rec(i + 1)
+            chosen.pop()
+            for v in e:
+                residual[v] += 1
+        rec(i + 1)
+
+    rec(start)
+    return out
+
+
 class TestLabeled:
     def test_perfect_matchings_on_4(self):
         # (4-1)!! = 3 perfect matchings, confirmed by explicit generation
@@ -48,6 +102,32 @@ class TestLabeled:
         b = collect(spec)
         assert a == b
         assert len(set(a)) == len(a)
+
+
+class TestEmissionOrder:
+    """The emitted graphs, in order, match the candidate-by-candidate
+    reference DFS."""
+
+    # the labeled conjecture sweep's ranges up to n = 9, plus two denser specs
+    SPECS = ([(2, 1, n) for n in range(2, 10)] + [(2, 2, n) for n in range(2, 10)]
+             + [(2, 3, n) for n in range(2, 9)] + [(3, 1, n) for n in range(3, 10)]
+             + [(3, 2, n) for n in range(3, 7)] + [(4, 2, 8), (2, 4, 8)])
+
+    def test_labeled_specs(self):
+        for r, d, n in self.SPECS:
+            spec = EnumSpec(r=r, d=d, n=n)
+            assert collect(spec) == reference_emissions(spec), (r, d, n)
+
+    def test_every_one_edge_prefix(self):
+        for e in itertools.combinations(range(6), 3):
+            spec = EnumSpec(r=3, d=2, n=6, prefix=(e,))
+            assert collect(spec) == reference_emissions(spec), e
+
+    def test_up_to_iso(self):
+        spec = EnumSpec(r=2, d=2, n=7, up_to_iso=True)
+        got = collect(spec)
+        assert len(got) == 2  # C7, and a triangle beside a 4-cycle
+        assert got == reference_emissions(spec)
 
 
 class TestUpToIso:
@@ -95,6 +175,18 @@ class TestPrefixSplitting:
         assert sorted(merged, key=lambda g: g.edges) == \
             sorted(whole, key=lambda g: g.edges)
         assert len(merged) == len(whole)
+
+    def test_only_first_edges_through_vertex_0(self):
+        spec = EnumSpec(r=2, d=1, n=10)
+        assert first_edge_choices(spec) == [(0, v) for v in range(1, 10)]
+        for r, d, n in [(2, 2, 7), (2, 3, 6), (3, 1, 6), (3, 2, 6), (4, 2, 8)]:
+            spec = EnumSpec(r=r, d=d, n=n)
+            kept = first_edge_choices(spec)
+            assert kept == [e for e in itertools.combinations(range(n), r)
+                            if e[0] == 0]
+            for e in itertools.combinations(range(1, n), r):
+                dropped = EnumSpec(r=r, d=d, n=n, prefix=(e,))
+                assert enumerate_regular(dropped) == 0, (r, d, n, e)
 
     def test_invalid_prefix(self):
         with pytest.raises(InvalidArgumentError):
