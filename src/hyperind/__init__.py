@@ -5,7 +5,7 @@ from .constructions import HrdLayout, build_complete_r_partite, build_hrd, \
     build_matching, build_transversal_design_3, random_quasi_bipartite
 from .core import Hypergraph, Link, QuasiBipartition, VertexSet, \
     canonical_form, disjoint_union, mask_of, quasi_bipartition, vertices_of
-from .counting import count_auto, count_branch, count_brute, \
+from .counting import count, count_auto, count_branch, count_brute, \
     ind_hrd_formula, list_independent_sets
 from .enumeration import EnumSpec, enumerate_regular
 from .errors import CapacityError, InvalidArgumentError, ParseError
@@ -24,7 +24,7 @@ __all__ = [
     "read_hypergraph", "write_hypergraph",
     "HrdLayout", "build_hrd", "build_complete_r_partite",
     "build_transversal_design_3", "build_matching", "random_quasi_bipartite",
-    "ind_hrd_formula", "count_brute", "count_branch", "count_auto",
+    "ind_hrd_formula", "count", "count_brute", "count_branch", "count_auto",
     "list_independent_sets",
     "EnumSpec", "enumerate_regular",
     "ConjectureVerdict", "ComparisonReport", "ProofStepReport",

@@ -22,7 +22,7 @@ from . import core, counting, verification
 from .constructions import build_complete_r_partite, build_hrd, \
     build_matching, build_transversal_design_3
 from .core import Hypergraph
-from .counting import count_auto, count_branch, count_brute
+from .counting import count
 from .enumeration import EnumSpec, enumerate_regular, first_edge_choices
 from .errors import CapacityError, InvalidArgumentError, ParseError
 from .hgio import read_hypergraph, write_hypergraph
@@ -71,14 +71,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    g = _read_input(args.input)
-    if args.method == "brute":
-        c = count_brute(g)
-    elif args.method == "branch":
-        c = count_branch(g)
-    else:
-        c = count_auto(g)
-    print(c)
+    print(count(_read_input(args.input), args.method))
     return 0
 
 
@@ -257,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cnt = sub.add_parser("count", help="count independent sets of a .hg file")
     cnt.add_argument("input", help='path to a .hg file, or "-" for stdin')
-    cnt.add_argument("--method", choices=["auto", "brute", "branch"],
+    cnt.add_argument("--method", choices=counting.METHODS,
                      default="auto")
     cnt.set_defaults(func=_cmd_count)
 

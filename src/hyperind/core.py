@@ -66,6 +66,16 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
+    @classmethod
+    def _from_normalized(cls, n: int,
+                         edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
+        """Wrap edges that are already distinct sorted tuples in 0..n-1, in
+        lexicographic order, without checking them again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(e) for e in self.edges)

@@ -7,7 +7,13 @@ Three routes, all returning exact Python integers:
   subset of the low vertices in a Python integer,
 * ``count_branch`` -- branch-and-reduce on the monotone constraint system
   "not all of e selected", one constraint per edge, with component
-  decomposition at every node.
+  decomposition at every node and a per-call cache of component counts,
+  keyed on a component's edges shifted down to vertex 0 (component
+  caching as in #SAT solvers).
+
+``count(g, method)`` is the one entry point: ``"auto"`` runs ``count_auto``
+(brute force below 20 vertices, branch-and-reduce from 20), and
+``"brute"`` and ``"branch"`` run those routes.
 
 ``count_brute`` is the independent oracle: ``count_branch`` is validated
 against it, never the other way around.
@@ -117,85 +123,80 @@ def list_independent_sets(g: Hypergraph,
         yield frozenset(vertices_of(m))
 
 
-def count_branch(g: Hypergraph, memoize: bool = False) -> int:
-    """Branch-and-reduce count of independent sets.
+def count_branch(g: Hypergraph) -> int:
+    """Branch-and-reduce count of independent sets with a component cache.
 
-    Branches on a pivot vertex (maximum degree in the current traced
-    instance, smallest index on ties): the excluded branch drops the vertex
-    and every constraint it appears in; the included branch shrinks those
-    constraints, and a constraint shrunk to nothing kills the branch.
-    Connected components are counted separately and multiplied.
+    Each node splits its constraints ("not all of e selected", one per edge)
+    into connected components and multiplies their counts; vertices in no
+    constraint contribute a factor of 2 each.  A component with one edge
+    has 2^|e| - 1 independent sets.  Otherwise it branches on a pivot
+    vertex (maximum degree, smallest index on ties): the excluded branch
+    drops every constraint through the pivot, and the included branch
+    shrinks them, forces out the vertex of any constraint shrunk to one
+    vertex, and drops the constraints that now contain a shrunk one.  The
+    input is made superset-free once; both branches keep it so.
+
+    A component's vertex set is the union of its edges, so its edges alone
+    fix its count.  Counts are cached under the component's edges shifted
+    down by its lowest vertex, so translated copies share an entry.  The
+    cache lives for one call.
     """
-    vmask = (1 << g.n) - 1
-    memo: dict[tuple[int, tuple[int, ...]], int] | None = {} if memoize else None
-    return _branch(vmask, tuple(sorted(set(g.edge_masks))), memo)
+    return _count(_drop_supersets(g.edge_masks), g.n, {})
 
 
-def _branch(vmask: int, edges: tuple[int, ...],
-            memo: dict | None) -> int:
-    # unit constraints force their vertex out
-    while True:
-        units = [e for e in edges if e.bit_count() == 1]
-        if not units:
-            break
-        forced = 0
-        for e in units:
-            forced |= e
-        vmask &= ~forced
-        edges = tuple(e for e in edges if not (e & forced))
-    if not edges:
-        return 1 << vmask.bit_count()
+def _count(edges: list[int] | tuple[int, ...], nv: int,
+           cache: dict[tuple[int, ...], int]) -> int:
+    """Independent sets of an nv-vertex set that holds every edge of the
+    superset-free edge list ``edges``."""
+    result = 1
+    for cmask, cedges in _components(edges):
+        k = cmask.bit_count()
+        nv -= k
+        if len(cedges) == 1:
+            result *= (1 << k) - 1
+            continue
+        shift = (cmask & -cmask).bit_length() - 1
+        key = tuple(sorted([e >> shift for e in cedges]))
+        c = cache.get(key)
+        if c is None:
+            pivot = _pivot(cedges)
+            excluded = [e for e in cedges if not e & pivot]
+            # including the pivot shrinks its edges; a shrunk edge {v} forces
+            # v out, and an unshrunk edge holding a shrunk one is redundant
+            # (e - p inside f - p would put e inside f)
+            shrunk = []
+            forced = touched = 0
+            for e in cedges:
+                if e & pivot:
+                    e ^= pivot
+                    if e & (e - 1):
+                        shrunk.append(e)
+                        touched |= e
+                    else:
+                        forced |= e
+            included = shrunk + [
+                e for e in excluded if not e & forced and not (
+                    e & touched and any(e & s == s for s in shrunk))]
+            c = (_count(excluded, k - 1, cache)
+                 + _count(included, k - 1 - forced.bit_count(), cache))
+            cache[key] = c
+        result *= c
+    return result << nv
 
-    # drop constraints that contain another constraint
-    edges = _drop_supersets(edges)
 
-    if memo is not None:
-        key = (vmask, edges)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-
-    # component decomposition over constraint supports
-    covered = 0
+def _pivot(edges: list[int]) -> int:
+    """The bit of a maximum-degree vertex, the smallest on ties."""
+    levels: list[int] = []  # levels[i]: the vertices of degree > i so far
     for e in edges:
-        covered |= e
-    free = (vmask & ~covered).bit_count()
-    result = 1 << free
-    for comp in _support_components(edges):
-        comp_edges = tuple(e for e in edges if e & comp)
-        result *= _branch_component(comp, comp_edges, memo)
-
-    if memo is not None:
-        memo[key] = result
-    return result
-
-
-def _branch_component(vmask: int, edges: tuple[int, ...],
-                      memo: dict | None) -> int:
-    # pivot: max degree, smallest index on ties
-    degree: dict[int, int] = {}
-    for e in edges:
-        m = e
-        while m:
-            low = m & -m
-            degree[low] = degree.get(low, 0) + 1
-            m ^= low
-    pivot = min(degree, key=lambda b: (-degree[b], b))
-
-    excluded = _branch(vmask & ~pivot,
-                       tuple(e for e in edges if not (e & pivot)), memo)
-    shrunk = []
-    dead = False
-    for e in edges:
-        if e & pivot:
-            e ^= pivot
-            if e == 0:
-                dead = True
+        for i, level in enumerate(levels):
+            levels[i] = level | e
+            e &= level
+            if not e:
                 break
-        shrunk.append(e)
-    included = 0 if dead else _branch(vmask & ~pivot,
-                                      tuple(sorted(set(shrunk))), memo)
-    return excluded + included
+        else:
+            levels.append(e)
+    top = levels[-1]
+    return top & -top
 
 
 def _drop_supersets(edges: tuple[int, ...]) -> tuple[int, ...]:
@@ -207,21 +208,43 @@ def _drop_supersets(edges: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
-def _support_components(edges: tuple[int, ...]) -> list[int]:
-    comps: list[int] = []
-    for e in edges:
-        merged = e
-        rest = []
-        for c in comps:
-            if c & merged:
-                merged |= c
-            else:
-                rest.append(c)
-        rest.append(merged)
-        comps = rest
-    return sorted(comps)
+def _components(edges: list[int] | tuple[int, ...]
+                ) -> list[tuple[int, list[int]]]:
+    """Connected components of the edges as (vertex mask, edges) pairs."""
+    comps = []
+    rest = edges
+    while rest:
+        cmask = rest[0]
+        cedges: list[int] = []
+        # sweep the rest until a pass adds nothing
+        while True:
+            found = len(cedges)
+            left = []
+            for e in rest:
+                if e & cmask:
+                    cmask |= e
+                    cedges.append(e)
+                else:
+                    left.append(e)
+            rest = left
+            if len(cedges) == found or not rest:
+                break
+        comps.append((cmask, cedges))
+    return comps
 
 
 def count_auto(g: Hypergraph, threshold: int = 20) -> int:
     """Brute force below the threshold, branch-and-reduce at or above it."""
     return count_brute(g) if g.n < threshold else count_branch(g)
+
+
+METHODS = ("auto", "brute", "branch")
+
+
+def count(g: Hypergraph, method: str = "auto") -> int:
+    """Count independent sets with ``count_<method>``."""
+    if method not in METHODS:
+        raise InvalidArgumentError(
+            f"method must be one of {', '.join(METHODS)}, got {method!r}")
+    # looked up at call time, so a rebound module attribute is honoured
+    return globals()["count_" + method](g)

@@ -96,7 +96,8 @@ def enumerate_regular(spec: EnumSpec,
         nonlocal emitted
         if len(chosen) == m:
             # m edges carry all n*d incidences, so every residual is 0
-            g = Hypergraph(spec.n, chosen)
+            # chosen holds distinct candidates in increasing lex order
+            g = Hypergraph._from_normalized(spec.n, tuple(chosen))
             if spec.up_to_iso:
                 canon = canonical_form(g)
                 if canon in seen_canon:

@@ -26,7 +26,7 @@ import numpy as np
 from .constructions import build_complete_r_partite, build_hrd, \
     build_transversal_design_3
 from .core import Hypergraph, mask_of, quasi_bipartition, vertices_of
-from .counting import count_auto, count_brute, independent_set_masks, \
+from .counting import count, count_brute, independent_set_masks, \
     ind_hrd_formula
 from .errors import CapacityError, InvalidArgumentError
 
@@ -79,13 +79,7 @@ def infer_uniform_regular(g: Hypergraph) -> tuple[int, int]:
 def check_conjecture(g: Hypergraph, method: str = "auto") -> ConjectureVerdict:
     """Exact verdict on whether g respects the extremal bound of H(r,d)."""
     r, d = infer_uniform_regular(g)
-    if method == "brute":
-        ind_g = count_brute(g)
-    elif method == "branch":
-        from .counting import count_branch
-        ind_g = count_branch(g)
-    else:
-        ind_g = count_auto(g)
+    ind_g = count(g, method)
     lhs = ind_g ** (r * d)
     rhs = ind_hrd_formula(r, d) ** g.n
     slack = (log2(rhs) - log2(lhs)) / (r * d)

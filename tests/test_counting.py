@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from hyperind import (CapacityError, Hypergraph, InvalidArgumentError,
                       build_hrd, build_matching, disjoint_union)
-from hyperind.counting import (count_auto, count_branch, count_brute,
+from hyperind import counting
+from hyperind.counting import (count, count_auto, count_branch, count_brute,
                                ind_hrd_formula, list_independent_sets)
 
 from conftest import brute_count, random_hypergraph
@@ -126,10 +128,49 @@ class TestBranch:
             g = random_hypergraph(n, rng.choice([2, 3]), rng)
             assert count_branch(g) == count_brute(g), g
 
-    def test_memoized_agrees(self, rng):
-        for _ in range(50):
-            g = random_hypergraph(9, 2, rng)
-            assert count_branch(g, memoize=True) == count_branch(g)
+    def test_mixed_sizes_against_brute(self, rng):
+        # size-1 and nested edges exercise the superset pass on the input
+        for n in range(23):
+            for _ in range(6 if n <= 16 else 2):
+                g = mixed_hypergraph(n, rng, max_size=5)
+                if n >= 2:
+                    e = rng.sample(range(n), rng.randint(2, min(n, 5)))
+                    g = Hypergraph(n, list(g.edges) + [e, e[:-1], e[:1]])
+                assert count_branch(g) == count_brute(g), g
+
+    def test_dense_uniform_against_brute(self, rng):
+        # n..2n edges on 16-18 vertices put many distinct components
+        # in one call's cache, so a key that loses a vertex gives wrong counts
+        for r in (3, 4):
+            for n in (16, 17, 18):
+                pool = list(itertools.combinations(range(n), r))
+                for _ in range(30):
+                    g = Hypergraph(n, rng.sample(pool, rng.randint(n, 2 * n)))
+                    assert count_branch(g) == count_brute(g), g
+
+    def test_cycles_give_lucas_numbers(self):
+        lucas = [2, 1]
+        for n in range(2, 301):
+            lucas.append(lucas[-1] + lucas[-2])
+        for n in range(3, 301):
+            assert count_branch(cycle(n)) == lucas[n], n
+
+    def test_relabeled_unions_of_repeated_blocks(self, rng):
+        # copies of one block are translates of each other, so the union as
+        # built hits the shifted cache key; the relabeled union must give
+        # the same count without those hits
+        for _ in range(6):
+            target = rng.randint(40, 60)
+            blocks = [mixed_hypergraph(rng.randint(4, 10), rng, max_size=3)] * 3
+            while sum(b.n for b in blocks) < target:
+                block = mixed_hypergraph(rng.randint(4, 10), rng, max_size=3)
+                blocks += [block] * rng.randint(1, 3)
+            union = disjoint_union(blocks)
+            expected = 1
+            for b in blocks:
+                expected *= count_brute(b)
+            assert count_branch(union) == expected
+            assert count_branch(relabel(union, rng)) == expected
 
     def test_large_structured(self):
         # 10 disjoint H(3,2) blocks: 60 vertices, far beyond the brute cap
@@ -198,3 +239,27 @@ class TestAuto:
         assert count_auto(g) == 43
         big = disjoint_union([g] * 5)
         assert count_auto(big) == 43 ** 5
+
+
+class TestCountEntryPoint:
+    def test_methods_agree(self):
+        g, _ = build_hrd(3, 2)
+        for method in ("auto", "brute", "branch"):
+            assert count(g, method) == 43
+        assert count(g) == 43
+
+    def test_unknown_method(self):
+        with pytest.raises(InvalidArgumentError):
+            count(Hypergraph(2), "fast")
+
+    def test_dispatch_reads_module_attributes(self, monkeypatch):
+        # a function rebound on the module (as a tracer does) is the one called
+        calls = []
+
+        def spy(g):
+            calls.append(g)
+            return -1
+
+        monkeypatch.setattr(counting, "count_branch", spy)
+        assert count(Hypergraph(3), "branch") == -1
+        assert calls == [Hypergraph(3)]

@@ -103,6 +103,19 @@ class TestLabeled:
         assert a == b
         assert len(set(a)) == len(a)
 
+    def test_emissions_equal_normalized_construction(self):
+        # emitted graphs skip edge normalisation; they must still be the
+        # values the public constructor builds from the same edges
+        specs = [EnumSpec(r=2, d=2, n=7), EnumSpec(r=3, d=2, n=6),
+                 EnumSpec(r=2, d=3, n=6, prefix=((0, 3),)),
+                 EnumSpec(r=2, d=2, n=6, up_to_iso=True)]
+        for spec in specs:
+            for g in collect(spec):
+                built = Hypergraph(g.n, reversed(g.edges))
+                assert g == built and hash(g) == hash(built)
+                assert g.edges == built.edges
+                assert g.edge_masks == built.edge_masks
+
 
 class TestEmissionOrder:
     """The emitted graphs, in order, match the candidate-by-candidate
