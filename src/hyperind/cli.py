@@ -178,14 +178,16 @@ def _enumerate_chunk(payload: tuple) -> tuple[int, list[str], list[str]]:
 def _cmd_enumerate(args) -> int:
     spec = EnumSpec(r=args.r, d=args.d, n=args.n, up_to_iso=args.up_to_iso)
     keep = args.emit is not None
+    # up to isomorphism, each class is checked once, after the merge
+    check = args.check_conjecture and not args.up_to_iso
     if args.workers > 1 and spec.feasible and spec.num_edges > 0:
-        payloads = [(args.r, args.d, args.n, args.up_to_iso, ((e),), args.check_conjecture, keep)
+        payloads = [(args.r, args.d, args.n, args.up_to_iso, ((e),), check, keep)
                     for e in first_edge_choices(spec)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_enumerate_chunk, payloads))
     else:
         results = [_enumerate_chunk(
-            (args.r, args.d, args.n, args.up_to_iso, (), args.check_conjecture, keep))]
+            (args.r, args.d, args.n, args.up_to_iso, (), check, keep))]
 
     total = 0
     emissions: list[str] = []

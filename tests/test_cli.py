@@ -1,8 +1,10 @@
 import io
 import json
+import multiprocessing
 
 import pytest
 
+from hyperind import cli, write_hypergraph
 from hyperind.cli import main
 
 
@@ -161,6 +163,31 @@ class TestEnumerate:
             written.append({f.name: f.read_text() for f in outdir.iterdir()})
         assert len(written[0]) == 465
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_up_to_iso_checks_each_class_once(self, capsys, tmp_path,
+                                              monkeypatch, workers):
+        if workers != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches pool workers only when they fork")
+        log = tmp_path / "calls"
+        real = cli.check_conjecture
+
+        def logged(g):
+            # a file, so that calls made in forked pool workers count too
+            with open(log, "a") as f:
+                f.write(write_hypergraph(g))
+            return real(g)
+
+        monkeypatch.setattr(cli, "check_conjecture", logged)
+        outdir = tmp_path / "out"
+        code, out, _ = run(capsys, ["enumerate", "--r", "2", "--d", "2",
+                                    "--n", "7", "--up-to-iso",
+                                    "--check-conjecture", "--emit", str(outdir),
+                                    "--workers", workers])
+        assert code == 0
+        assert out == "emitted: 2\nchecked: 2\nviolations: 0\n"
+        classes = "".join(f.read_text() for f in sorted(outdir.iterdir()))
+        assert log.read_text() == classes
 
     def test_infeasible(self, capsys):
         code, out, _ = run(capsys, ["enumerate", "--r", "3", "--d", "1", "--n", "4"])

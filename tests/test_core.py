@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from hyperind import (CapacityError, Hypergraph, InvalidArgumentError,
-                      build_hrd, canonical_form, disjoint_union,
-                      quasi_bipartition)
+from hyperind import (CapacityError, EnumSpec, Hypergraph,
+                      InvalidArgumentError, build_complete_r_partite,
+                      build_hrd, build_transversal_design_3, canonical_form,
+                      disjoint_union, enumerate_regular, quasi_bipartition)
 from hyperind.counting import count_brute
 
 from conftest import brute_is_independent, random_hypergraph
@@ -17,6 +18,67 @@ def triangle():
 
 def k22():
     return Hypergraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def relabeled(g: Hypergraph, rng: random.Random) -> Hypergraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Hypergraph(g.n, [tuple(perm[v] for v in e) for e in g.edges])
+
+
+def cycle(n: int) -> Hypergraph:
+    return Hypergraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def reference_canonical_form(g: Hypergraph) -> Hypergraph:
+    """canonical_form without symmetry pruning: the lex-least sequence over
+    all labelings, found with the prefix cut alone."""
+    n = g.n
+    m = len(g.edges)
+    edge_sets = [frozenset(e) for e in g.edges]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edge_sets):
+        for v in e:
+            incident[v].append(i)
+    best_seq: list | None = None
+    best_edges: tuple | None = None
+    new_label: dict[int, int] = {}
+
+    def dfs(pos: int, seq: list, closed: int) -> None:
+        nonlocal best_seq, best_edges
+        if closed == m:
+            full = seq + [(0, ())] * (n - pos)
+            if best_seq is None or full < best_seq:
+                best_seq = full
+                best_edges = tuple(t for _, row in seq for t in row)
+            return
+        for u in range(n):
+            if u in new_label:
+                continue
+            new_label[u] = pos
+            row = []
+            for i in incident[u]:
+                e = edge_sets[i]
+                if all(w in new_label for w in e):
+                    row.append(tuple(sorted(new_label[w] for w in e)))
+            row.sort()
+            seq.append((-len(row), tuple(row)))
+            if best_seq is None or seq <= best_seq[: pos + 1]:
+                dfs(pos + 1, seq, closed + len(row))
+            seq.pop()
+            del new_label[u]
+
+    dfs(0, [], 0)
+    return Hypergraph(n, best_edges)
+
+
+def random_mixed_hypergraph(n: int, rng: random.Random) -> Hypergraph:
+    """Random edges of sizes 1..4 on n vertices; some vertices stay isolated."""
+    edges = []
+    for _ in range(rng.randint(0, 2 * n)):
+        k = rng.randint(1, min(n, 4))
+        edges.append(rng.sample(range(n), k))
+    return Hypergraph(n, edges)
 
 
 class TestDegree:
@@ -226,6 +288,98 @@ class TestCanonicalForm:
     def test_cap(self):
         with pytest.raises(CapacityError):
             canonical_form(Hypergraph(13))
+
+
+class TestCanonicalFormAgainstReference:
+    """The pruned search gives the same forms as the unpruned reference."""
+
+    def test_every_labeled_graph_of_the_iso_ranges(self):
+        specs = ([(2, 2, n) for n in range(3, 8)]
+                 + [(2, 3, n) for n in range(4, 7)] + [(3, 2, 6), (3, 3, 6)])
+        graphs: list[Hypergraph] = []
+        for r, d, n in specs:
+            enumerate_regular(EnumSpec(r=r, d=d, n=n), graphs.append)
+        assert len(graphs) == 1027
+        for g in graphs:
+            assert canonical_form(g) == reference_canonical_form(g), g
+
+    def test_relabeled_symmetric_constructions(self, rng):
+        for g in [build_hrd(3, 4)[0], build_complete_r_partite(2, 5),
+                  build_transversal_design_3(4)]:
+            want = reference_canonical_form(g)
+            for _ in range(3):
+                assert canonical_form(relabeled(g, rng)) == want
+
+    def test_random_mixed_sizes(self, rng):
+        for n in [0, 1, 2, 3, 4, 5, 6, 7, 8]:
+            assert canonical_form(Hypergraph(n)) == Hypergraph(n)
+            for _ in range(25):
+                g = random_mixed_hypergraph(n, rng)
+                assert canonical_form(g) == reference_canonical_form(g), g
+
+
+class TestCanonicalFormAtTheCap:
+    """Symmetric inputs at n = 12: each relabeling gives the form of the
+    unrelabeled graph.  Without symmetry pruning K_{6,6} alone takes
+    minutes."""
+
+    @pytest.mark.parametrize("g", [
+        build_complete_r_partite(2, 6),
+        build_transversal_design_3(4),
+        cycle(12),
+        disjoint_union([build_complete_r_partite(2, 3)] * 2),
+    ], ids=["K6,6", "TD3(4)", "C12", "2K3,3"])
+    def test_relabelings(self, g, rng):
+        assert g.n == 12
+        want = canonical_form(g)
+        for _ in range(5):
+            assert canonical_form(relabeled(g, rng)) == want
+
+
+def incidence_graph(nx, g: Hypergraph):
+    b = nx.Graph()
+    b.add_nodes_from((("v", v) for v in range(g.n)), side=0)
+    b.add_nodes_from((("e", e) for e in g.edges), side=1)
+    b.add_edges_from((("v", v), ("e", e)) for e in g.edges for v in e)
+    return b
+
+
+def degree_preserving_swap(g: Hypergraph, rng: random.Random) -> Hypergraph:
+    """Trade a vertex of one edge for a vertex of another, keeping every
+    degree and edge size; g itself when no trade applies."""
+    edges = [set(e) for e in g.edges]
+    for _ in range(20):
+        e1, e2 = rng.sample(edges, 2)
+        only1, only2 = sorted(e1 - e2), sorted(e2 - e1)
+        if not only1 or not only2:
+            continue
+        a, b = rng.choice(only1), rng.choice(only2)
+        new1, new2 = (e1 - {a}) | {b}, (e2 - {b}) | {a}
+        rest = [e for e in edges if e is not e1 and e is not e2]
+        if new1 in rest or new2 in rest:
+            continue
+        return Hypergraph(g.n, rest + [new1, new2])
+    return g
+
+
+class TestCanonicalFormIsomorphismOracle:
+    def test_equal_forms_iff_incidence_graphs_isomorphic(self, rng):
+        nx = pytest.importorskip("networkx")
+        same_side = nx.algorithms.isomorphism.categorical_node_match("side", None)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(5, 9)
+            g = random_mixed_hypergraph(n, rng)
+            if g.num_edges < 2:
+                continue
+            h = relabeled(degree_preserving_swap(g, rng), rng)
+            assert sorted(h.degrees()) == sorted(g.degrees())
+            assert h.num_edges == g.num_edges
+            iso = nx.is_isomorphic(incidence_graph(nx, g), incidence_graph(nx, h),
+                                   node_match=same_side)
+            assert (canonical_form(g) == canonical_form(h)) == iso, (g, h)
+            outcomes.add(iso)
+        assert outcomes == {False, True}
 
 
 class TestHypergraphBasics:
