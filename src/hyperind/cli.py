@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import os
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import core, counting, verification
+from . import counting
 from .constructions import build_complete_r_partite, build_hrd, \
     build_matching, build_transversal_design_3
-from .core import Hypergraph
+from .core import Caps, Hypergraph
 from .counting import count
 from .enumeration import EnumSpec, enumerate_regular, first_edge_choices
 from .errors import CapacityError, InvalidArgumentError, ParseError
@@ -39,25 +39,7 @@ def _read_input(path: str) -> Hypergraph:
     return read_hypergraph(text)
 
 
-def _apply_caps_env() -> None:
-    raw = os.environ.get("HYPERIND_CAPS")
-    if not raw:
-        return
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise InvalidArgumentError(
-            'HYPERIND_CAPS must be "brute,canon,entropy", e.g. "30,12,24"')
-    try:
-        brute, canon, ent = (int(p) for p in parts)
-    except ValueError:
-        raise InvalidArgumentError(f"HYPERIND_CAPS entries must be integers: {raw!r}")
-    counting.BRUTE_CAP = brute
-    core.CANON_CAP = canon
-    verification.ENTROPY_CAP = ent
-    counting.LIST_CAP = ent
-
-
-def _cmd_construct(args) -> int:
+def _cmd_construct(args, caps: Caps) -> int:
     if args.family == "hrd":
         g, _ = build_hrd(args.r, args.d)
     elif args.family == "complete":
@@ -70,8 +52,8 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _cmd_count(args) -> int:
-    print(count(_read_input(args.input), args.method))
+def _cmd_count(args, caps: Caps) -> int:
+    print(count(_read_input(args.input), args.method, caps))
     return 0
 
 
@@ -85,9 +67,9 @@ def _verdict_json(v) -> dict:
     }
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, caps: Caps) -> int:
     g = _read_input(args.input)
-    v = check_conjecture(g)
+    v = check_conjecture(g, caps=caps)
     if args.json:
         print(json.dumps(_verdict_json(v)))
     else:
@@ -103,9 +85,9 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, caps: Caps) -> int:
     g = _read_input(args.input)
-    rep = verify_proof_steps(g)
+    rep = verify_proof_steps(g, caps=caps)
     if args.json:
         out = {
             "r": rep.r, "d": rep.d, "n": rep.n,
@@ -137,8 +119,8 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    rep = compare_constructions(args.r, t=args.t, m=args.m)
+def _cmd_compare(args, caps: Caps) -> int:
+    rep = compare_constructions(args.r, t=args.t, m=args.m, caps=caps)
     if args.json:
         out = {
             "kind": rep.kind, "r": rep.r, "d": rep.d,
@@ -157,37 +139,48 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _enumerate_chunk(payload: tuple) -> tuple[int, list[str], list[str]]:
+@dataclass(frozen=True)
+class _Chunk:
+    """One unit of enumeration work.  The spec carries the caps, so pool
+    workers get them by value under every process start method."""
+
+    spec: EnumSpec
+    check: bool  # check each emission against the conjecture
+    keep: bool  # return the emissions' texts
+
+
+def _enumerate_chunk(chunk: _Chunk) -> tuple[int, list[str], list[str]]:
     """Worker: enumerate one first-edge prefix; returns (count, emissions,
     violations) as ".hg" texts.  Emissions are kept only when requested."""
-    r, d, n, up_to_iso, prefix, check, keep = payload
-    spec = EnumSpec(r=r, d=d, n=n, up_to_iso=up_to_iso, prefix=prefix)
+    spec = chunk.spec
     emissions: list[str] = []
     violations: list[str] = []
 
     def visit(g: Hypergraph) -> None:
-        if keep or up_to_iso:
+        if chunk.keep or spec.up_to_iso:
             emissions.append(write_hypergraph(g))
-        if check and not check_conjecture(g).holds:
+        if chunk.check and not check_conjecture(g, caps=spec.caps).holds:
             violations.append(write_hypergraph(g))
 
     count = enumerate_regular(spec, visit)
     return count, emissions, violations
 
 
-def _cmd_enumerate(args) -> int:
-    spec = EnumSpec(r=args.r, d=args.d, n=args.n, up_to_iso=args.up_to_iso)
+def _cmd_enumerate(args, caps: Caps) -> int:
+    if args.workers < 1:
+        raise InvalidArgumentError(f"--workers must be >= 1, got {args.workers}")
+    spec = EnumSpec(r=args.r, d=args.d, n=args.n, up_to_iso=args.up_to_iso,
+                    caps=caps)
     keep = args.emit is not None
     # up to isomorphism, each class is checked once, after the merge
     check = args.check_conjecture and not args.up_to_iso
     if args.workers > 1 and spec.feasible and spec.num_edges > 0:
-        payloads = [(args.r, args.d, args.n, args.up_to_iso, ((e),), check, keep)
-                    for e in first_edge_choices(spec)]
+        chunks = [_Chunk(replace(spec, prefix=(e,)), check, keep)
+                  for e in first_edge_choices(spec)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_enumerate_chunk, payloads))
+            results = list(pool.map(_enumerate_chunk, chunks))
     else:
-        results = [_enumerate_chunk(
-            (args.r, args.d, args.n, args.up_to_iso, (), check, keep))]
+        results = [_enumerate_chunk(_Chunk(spec, check, keep))]
 
     total = 0
     emissions: list[str] = []
@@ -202,8 +195,8 @@ def _cmd_enumerate(args) -> int:
                     emissions.append(text)
         total = len(emissions)
         if args.check_conjecture:
-            violations = [t for t in emissions
-                          if not check_conjecture(read_hypergraph(t)).holds]
+            violations = [t for t in emissions if not check_conjecture(
+                read_hypergraph(t), caps=caps).holds]
     else:
         for count, ems, viol in results:
             total += count
@@ -295,8 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_caps_env()
-        return args.func(args)
+        return args.func(args, Caps.from_env())
     except (InvalidArgumentError, ParseError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

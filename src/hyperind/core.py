@@ -8,18 +8,48 @@ immutable inputs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CapacityError, InvalidArgumentError
 
 VertexSet = frozenset[int]
 
-#: Largest n for which canonical_form will run.  Its search is exponential
-#: in the worst case; twin and automorphism pruning keep the symmetric
-#: inputs seen so far (K_{6,6}, TD3(4), C_12) to milliseconds at n = 12.
-CANON_CAP = 12
+
+@dataclass(frozen=True)
+class Caps:
+    """Largest n each exponential routine accepts.
+
+    * brute -- ``count_brute``, which tests all 2^n subsets;
+    * canon -- ``canonical_form``, whose labeling search is exponential in
+      the worst case; twin and automorphism pruning keep the symmetric
+      inputs seen so far (K_{6,6}, TD3(4), C_12) to milliseconds at n = 12;
+    * entropy -- ``joint_distribution``, the 2^n table behind the proof
+      checker.
+    """
+
+    brute: int = 30
+    canon: int = 12
+    entropy: int = 24
+
+    @classmethod
+    def from_env(cls) -> "Caps":
+        """The caps set by ``HYPERIND_CAPS="brute,canon,entropy"``, or the
+        defaults when it is unset or empty."""
+        raw = os.environ.get("HYPERIND_CAPS")
+        if not raw:
+            return cls()
+        parts = raw.split(",")
+        if len(parts) != 3:
+            raise InvalidArgumentError(
+                'HYPERIND_CAPS must be "brute,canon,entropy", e.g. "30,12,24"')
+        try:
+            return cls(*(int(p) for p in parts))
+        except ValueError:
+            raise InvalidArgumentError(
+                f"HYPERIND_CAPS entries must be integers: {raw!r}")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -85,12 +115,6 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        """Number of edges containing v."""
-        if not 0 <= v < self.n:
-            raise InvalidArgumentError(f"vertex {v} out of range 0..{self.n - 1}")
-        return sum(1 for e in self.edges if v in e)
 
     def degrees(self) -> list[int]:
         degs = [0] * self.n
@@ -297,7 +321,7 @@ def disjoint_union(gs: Iterable[Hypergraph]) -> Hypergraph:
     return Hypergraph(n, edges)
 
 
-def canonical_form(g: Hypergraph, cap: int | None = None) -> Hypergraph:
+def canonical_form(g: Hypergraph, caps: Caps = Caps()) -> Hypergraph:
     """A canonical representative of g's isomorphism class.
 
     The form is g relabeled by the labeling whose sequence is lex-least
@@ -328,9 +352,9 @@ def canonical_form(g: Hypergraph, cap: int | None = None) -> Hypergraph:
       branch there is the image of the best leaf's branch.  This is the
       automorphism pruning of McKay, "Practical graph isomorphism" (1981).
     """
-    cap = CANON_CAP if cap is None else cap
-    if g.n > cap:
-        raise CapacityError(f"canonical_form capped at n <= {cap}, got n = {g.n}")
+    if g.n > caps.canon:
+        raise CapacityError(
+            f"canonical_form capped at n <= {caps.canon}, got n = {g.n}")
     n = g.n
     m = len(g.edges)
     edge_masks = g.edge_masks

@@ -22,15 +22,11 @@ against it, never the other way around.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
-from .core import Hypergraph, mask_of, vertices_of
+from .core import Caps, Hypergraph
 from .errors import CapacityError, InvalidArgumentError
-
-BRUTE_CAP = 30
-LIST_CAP = 24
 
 _CHUNK = 1 << 20
 _LOW_BITS = 20
@@ -46,7 +42,7 @@ def ind_hrd_formula(r: int, d: int) -> int:
     return 2 ** ((r - 1) * d) + (2 ** d - 1) * (2 ** (r - 1) - 1) ** d
 
 
-def count_brute(g: Hypergraph, cap: int | None = None) -> int:
+def count_brute(g: Hypergraph, caps: Caps = Caps()) -> int:
     """Count independent sets by checking every one of the 2^n subsets.
 
     A subset S is split into its low part (vertices below k = min(n, 20))
@@ -56,9 +52,9 @@ def count_brute(g: Hypergraph, cap: int | None = None) -> int:
     assignment of the AND of their low vertices' patterns, and its unset
     bits are the independent sets with that high part.
     """
-    cap = BRUTE_CAP if cap is None else cap
-    if g.n > cap:
-        raise CapacityError(f"count_brute capped at n <= {cap}, got n = {g.n}")
+    if g.n > caps.brute:
+        raise CapacityError(
+            f"count_brute capped at n <= {caps.brute}, got n = {g.n}")
     k = min(g.n, _LOW_BITS)
     patterns = _low_patterns(k)
     everything = (1 << (1 << k)) - 1
@@ -97,13 +93,10 @@ def _low_patterns(k: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def independent_set_masks(g: Hypergraph, cap: int | None = None) -> np.ndarray:
+def independent_set_masks(g: Hypergraph) -> np.ndarray:
     """All independent sets as a ``np.uint64`` array of bitmasks, in increasing
-    order of the encoding."""
-    cap = LIST_CAP if cap is None else cap
-    if g.n > cap:
-        raise CapacityError(
-            f"independent set listing capped at n <= {cap}, got n = {g.n}")
+    order of the encoding.  It takes 2^n steps and holds every independent
+    set; ``joint_distribution``, its caller, caps n."""
     emasks = np.array(g.edge_masks, dtype=np.uint64)
     parts = []
     for start in range(0, 1 << g.n, _CHUNK):
@@ -113,14 +106,6 @@ def independent_set_masks(g: Hypergraph, cap: int | None = None) -> np.ndarray:
             ok &= (subs & em) != em
         parts.append(subs[ok])
     return np.concatenate(parts)
-
-
-def list_independent_sets(g: Hypergraph,
-                          cap: int | None = None) -> Iterator[frozenset[int]]:
-    """Yield every independent set exactly once, in lexicographic order of
-    the subset encoding."""
-    for m in independent_set_masks(g, cap=cap).tolist():
-        yield frozenset(vertices_of(m))
 
 
 def count_branch(g: Hypergraph) -> int:
@@ -233,18 +218,20 @@ def _components(edges: list[int] | tuple[int, ...]
     return comps
 
 
-def count_auto(g: Hypergraph, threshold: int = 20) -> int:
+def count_auto(g: Hypergraph, threshold: int = 20, caps: Caps = Caps()) -> int:
     """Brute force below the threshold, branch-and-reduce at or above it."""
-    return count_brute(g) if g.n < threshold else count_branch(g)
+    return count_brute(g, caps) if g.n < threshold else count_branch(g)
 
 
 METHODS = ("auto", "brute", "branch")
 
 
-def count(g: Hypergraph, method: str = "auto") -> int:
+def count(g: Hypergraph, method: str = "auto", caps: Caps = Caps()) -> int:
     """Count independent sets with ``count_<method>``."""
     if method not in METHODS:
         raise InvalidArgumentError(
             f"method must be one of {', '.join(METHODS)}, got {method!r}")
-    # looked up at call time, so a rebound module attribute is honoured
-    return globals()["count_" + method](g)
+    # looked up at call time, so a rebound module attribute is honoured;
+    # count_branch has no cap
+    fn = globals()["count_" + method]
+    return fn(g) if method == "branch" else fn(g, caps=caps)

@@ -15,23 +15,25 @@ partitioned by first-edge prefix for work-splitting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import core
-from .core import Hypergraph, canonical_form
+from .core import Caps, Hypergraph, canonical_form
 from .errors import CapacityError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """Parameters of an enumeration run: d-regular r-uniform on n vertices."""
+    """Parameters of an enumeration run: d-regular r-uniform on n vertices.
+    ``caps.canon`` bounds n when up_to_iso."""
 
     r: int
     d: int
     n: int
     up_to_iso: bool = False
     prefix: tuple[tuple[int, ...], ...] = ()
+    caps: Caps = Caps()
 
     def __post_init__(self):
         if self.r < 1 or self.d < 0 or self.n < 0:
@@ -40,9 +42,9 @@ class EnumSpec:
         if self.d >= 1 and 0 < self.n < self.r:
             raise InvalidArgumentError(
                 f"no {self.r}-uniform edges fit on {self.n} vertices")
-        if self.up_to_iso and self.n > core.CANON_CAP:
+        if self.up_to_iso and self.n > self.caps.canon:
             raise CapacityError(
-                f"up_to_iso is capped at n <= {core.CANON_CAP}, got n = {self.n}")
+                f"up_to_iso is capped at n <= {self.caps.canon}, got n = {self.n}")
 
     @property
     def feasible(self) -> bool:
@@ -99,7 +101,7 @@ def enumerate_regular(spec: EnumSpec,
             # chosen holds distinct candidates in increasing lex order
             g = Hypergraph._from_normalized(spec.n, tuple(chosen))
             if spec.up_to_iso:
-                canon = canonical_form(g)
+                canon = canonical_form(g, spec.caps)
                 if canon in seen_canon:
                     return
                 seen_canon.add(canon)

@@ -10,14 +10,13 @@ base-2 logarithm, so every float inequality is checked at a small tolerance.
 The joint distribution is the numpy array of independent-set bitmasks, each
 with count 1.  A marginal projects the masks onto a vertex subset and counts
 the distinct projections with ``np.unique``, so no Python loop runs over the
-independent sets.  Counts leave the arrays as Python ints before they reach a
-``Fraction``, an entropy sum or a report.
+independent sets.  Counts leave the arrays as Python ints before they reach
+an entropy sum or a report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, log2
 from typing import Iterable
 
@@ -25,12 +24,11 @@ import numpy as np
 
 from .constructions import build_complete_r_partite, build_hrd, \
     build_transversal_design_3
-from .core import Hypergraph, mask_of, quasi_bipartition, vertices_of
+from .core import Caps, Hypergraph, mask_of, quasi_bipartition, vertices_of
 from .counting import count, count_brute, independent_set_masks, \
     ind_hrd_formula
 from .errors import CapacityError, InvalidArgumentError
 
-ENTROPY_CAP = 24
 PROOF_EPS = 1e-9
 
 
@@ -76,10 +74,11 @@ def infer_uniform_regular(g: Hypergraph) -> tuple[int, int]:
     return r, d
 
 
-def check_conjecture(g: Hypergraph, method: str = "auto") -> ConjectureVerdict:
+def check_conjecture(g: Hypergraph, method: str = "auto",
+                     caps: Caps = Caps()) -> ConjectureVerdict:
     """Exact verdict on whether g respects the extremal bound of H(r,d)."""
     r, d = infer_uniform_regular(g)
-    ind_g = count(g, method)
+    ind_g = count(g, method, caps)
     lhs = ind_g ** (r * d)
     rhs = ind_hrd_formula(r, d) ** g.n
     slack = (log2(rhs) - log2(lhs)) / (r * d)
@@ -126,9 +125,10 @@ class ComparisonReport:
     winner: str  # "hrd", "rival", or "tie"
 
 
-def _compare(kind: str, r: int, d: int, rival: Hypergraph) -> ComparisonReport:
+def _compare(kind: str, r: int, d: int, rival: Hypergraph,
+             caps: Caps) -> ComparisonReport:
     ind_h = ind_hrd_formula(r, d)
-    ind_r = count_brute(rival)
+    ind_r = count_brute(rival, caps)
     block_h = r * d
     block_r = rival.n
     L = block_h * block_r // gcd(block_h, block_r)
@@ -140,8 +140,8 @@ def _compare(kind: str, r: int, d: int, rival: Hypergraph) -> ComparisonReport:
                             hrd_power=hp, rival_power=rp, winner=winner)
 
 
-def compare_constructions(r: int, t: int | None = None,
-                          m: int | None = None) -> ComparisonReport:
+def compare_constructions(r: int, t: int | None = None, m: int | None = None,
+                          caps: Caps = Caps()) -> ComparisonReport:
     """Compare disjoint unions of H(r,d) against the rival family.
 
     With t set: the complete r-partite r-graph with parts of size t, so
@@ -154,12 +154,14 @@ def compare_constructions(r: int, t: int | None = None,
         if r < 2 or t < 1:
             raise InvalidArgumentError(f"need r >= 2 and t >= 1, got r={r}, t={t}")
         d = t ** (r - 1)
-        return _compare("complete-r-partite", r, d, build_complete_r_partite(r, t))
+        return _compare("complete-r-partite", r, d,
+                        build_complete_r_partite(r, t), caps)
     if r != 3:
         raise InvalidArgumentError("transversal designs are implemented for r = 3 only")
     if m < 1:
         raise InvalidArgumentError(f"need m >= 1, got m={m}")
-    return _compare("transversal-design-3", 3, m, build_transversal_design_3(m))
+    return _compare("transversal-design-3", 3, m,
+                    build_transversal_design_3(m), caps)
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +197,15 @@ class SubsetDistribution:
         """Configuration -> weight, in increasing order of configuration."""
         return dict(zip(self.configs.tolist(), self.counts.tolist()))
 
-    def probability(self, config: Iterable[int] | int) -> Fraction:
-        cmask = config if isinstance(config, int) else mask_of(config)
-        w = 0
-        if not cmask & ~self.domain:
-            i = int(np.searchsorted(self.configs, np.uint64(cmask)))
-            if i < len(self.configs) and int(self.configs[i]) == cmask:
-                w = int(self.counts[i])
-        return Fraction(w, self.total)
-
-    def support(self) -> list[frozenset[int]]:
-        return [frozenset(vertices_of(c)) for c in self.configs.tolist()]
-
 
 def joint_distribution(g: Hypergraph,
-                       cap: int | None = None) -> SubsetDistribution:
+                       caps: Caps = Caps()) -> SubsetDistribution:
     """Uniform distribution over the independent sets of g, as exact rationals
     with denominator ind(g)."""
-    cap = ENTROPY_CAP if cap is None else cap
-    if g.n > cap:
+    if g.n > caps.entropy:
         raise CapacityError(
-            f"joint_distribution capped at n <= {cap}, got n = {g.n}")
-    masks = independent_set_masks(g, cap=cap)
+            f"joint_distribution capped at n <= {caps.entropy}, got n = {g.n}")
+    masks = independent_set_masks(g)
     return SubsetDistribution(domain=(1 << g.n) - 1, configs=masks,
                               counts=np.ones(len(masks), dtype=np.int64),
                               total=len(masks))
@@ -253,17 +242,6 @@ def entropy(dist: SubsetDistribution) -> float:
     for w in dist.counts[dist.counts > 1].tolist():
         acc += w * log2(w)
     return log2(dist.total) - acc / dist.total
-
-
-def conditional_entropy(dist: SubsetDistribution,
-                        target: Iterable[int] | int,
-                        given: Iterable[int] | int) -> float:
-    """H(target | given) = H(target u given) - H(given), in bits."""
-    tmask = target if isinstance(target, int) else mask_of(target)
-    gmask = given if isinstance(given, int) else mask_of(given)
-    if (tmask | gmask) & ~dist.domain:
-        raise InvalidArgumentError("coordinates outside the domain")
-    return entropy(marginal(dist, tmask | gmask)) - entropy(marginal(dist, gmask))
 
 
 def _binary_entropy(w1: int, w0: int) -> float:
@@ -314,7 +292,7 @@ class ProofStepReport:
 
 
 def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
-                       cap: int | None = None) -> ProofStepReport:
+                       caps: Caps = Caps()) -> ProofStepReport:
     """Numerically check every inequality in the entropy argument bounding
     ind(G) for a d-regular quasi-bipartite r-graph G.
 
@@ -339,11 +317,8 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
     if cert is None:
         raise InvalidArgumentError(
             "hypergraph is not quasi-bipartite (recognizer found no certificate)")
-    cap = ENTROPY_CAP if cap is None else cap
-    if g.n > cap:
-        raise CapacityError(f"verify_proof_steps capped at n <= {cap}")
 
-    dist = joint_distribution(g, cap=cap)
+    dist = joint_distribution(g, caps)
     a_side = sorted(cert.a_side)
     b_mask = mask_of(cert.b_side)
     a_mask = mask_of(cert.a_side)
@@ -425,7 +400,7 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
         span_size = smask.bit_count()
         link_graph = Hypergraph(g.n, cert.link_matchings[a]).restrict(
             vertices_of(smask))
-        ind_link = count_brute(link_graph)
+        ind_link = count_brute(link_graph, caps)
         bound6 = 2 ** span_size + (2 ** d - 1) * ind_link
         worst_count = _tighter(worst_count, lam_sum, bound6)
         # (7) exact link bound

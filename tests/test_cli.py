@@ -1,6 +1,10 @@
 import io
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,11 +176,11 @@ class TestEnumerate:
         log = tmp_path / "calls"
         real = cli.check_conjecture
 
-        def logged(g):
+        def logged(g, **kwargs):
             # a file, so that calls made in forked pool workers count too
             with open(log, "a") as f:
                 f.write(write_hypergraph(g))
-            return real(g)
+            return real(g, **kwargs)
 
         monkeypatch.setattr(cli, "check_conjecture", logged)
         outdir = tmp_path / "out"
@@ -220,12 +224,48 @@ class TestCapsEnv:
         code, _, err = run(capsys, ["count", "-"], stdin="2\n", monkeypatch=monkeypatch)
         assert code == 2
 
+    def test_entropy_cap(self, capsys, monkeypatch):
+        # H(5,5) has n = 25, one past the default entropy cap
+        _, hrd, _ = run(capsys, ["construct", "hrd", "--r", "5", "--d", "5"])
+        code, out, err = run(capsys, ["verify-proof", "-"], stdin=hrd,
+                             monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert "joint_distribution capped at n <= 24, got n = 25" in err
 
-@pytest.fixture(autouse=True)
-def _restore_caps():
-    from hyperind import core, counting, verification
-    saved = (counting.BRUTE_CAP, core.CANON_CAP,
-             verification.ENTROPY_CAP, counting.LIST_CAP)
-    yield
-    (counting.BRUTE_CAP, core.CANON_CAP,
-     verification.ENTROPY_CAP, counting.LIST_CAP) = saved
+    def test_reaches_pool_workers_under_every_start_method(self, tmp_path):
+        # the caps travel with each chunk of work, so a worker started by
+        # spawn or forkserver gets them as well as a forked one
+        script = tmp_path / "run.py"
+        script.write_text(START_METHOD_SCRIPT)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, HYPERIND_CAPS="5,12,24", PYTHONPATH=str(src))
+        for method in multiprocessing.get_all_start_methods():
+            proc = subprocess.run([sys.executable, str(script), method],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 2, (method, proc.stdout, proc.stderr)
+            assert "count_brute capped at n <= 5" in proc.stderr, method
+
+
+START_METHOD_SCRIPT = """\
+import multiprocessing
+import sys
+
+from hyperind.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(["enumerate", "--r", "3", "--d", "1", "--n", "6",
+                   "--check-conjecture", "--workers", "2"]))
+"""
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_exits_2(self, capsys, workers):
+        code, out, err = run(capsys, ["enumerate", "--r", "2", "--d", "1",
+                                      "--n", "4", "--workers", workers])
+        assert code == 2
+        assert out == ""
+        assert "--workers" in err

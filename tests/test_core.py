@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hyperind import (CapacityError, EnumSpec, Hypergraph,
+from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
                       InvalidArgumentError, build_complete_r_partite,
                       build_hrd, build_transversal_design_3, canonical_form,
                       disjoint_union, enumerate_regular, quasi_bipartition)
@@ -84,23 +84,17 @@ def random_mixed_hypergraph(n: int, rng: random.Random) -> Hypergraph:
 class TestDegree:
     def test_single_edge(self):
         g = Hypergraph(3, [(0, 1, 2)])
-        assert g.degree(0) == 1
+        assert g.degrees() == [1, 1, 1]
 
     def test_hrd_marked_vertex(self):
         g, layout = build_hrd(3, 2)
+        degs = g.degrees()
         for v in layout.marked:
-            assert g.degree(v) == 2
+            assert degs[v] == 2
 
     def test_no_edges(self):
         g = Hypergraph(4)
-        assert g.degree(3) == 0
-
-    def test_out_of_range(self):
-        g = Hypergraph(3, [(0, 1, 2)])
-        with pytest.raises(InvalidArgumentError):
-            g.degree(3)
-        with pytest.raises(InvalidArgumentError):
-            g.degree(-1)
+        assert g.degrees() == [0, 0, 0, 0]
 
 
 class TestLink:
@@ -132,7 +126,7 @@ class TestLink:
             g, _ = build_hrd(r, d)
             for v in range(g.n):
                 lk = g.link(v)
-                assert len(lk.edges) == d == g.degree(v)
+                assert len(lk.edges) == d == g.degrees()[v]
                 assert all(len(e) == r - 1 for e in lk.edges)
 
 
@@ -288,6 +282,9 @@ class TestCanonicalForm:
     def test_cap(self):
         with pytest.raises(CapacityError):
             canonical_form(Hypergraph(13))
+        assert canonical_form(Hypergraph(13), caps=Caps(canon=13)) == Hypergraph(13)
+        with pytest.raises(CapacityError):
+            canonical_form(triangle(), caps=Caps(canon=2))
 
 
 class TestCanonicalFormAgainstReference:

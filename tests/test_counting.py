@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from hyperind import (CapacityError, Hypergraph, InvalidArgumentError,
-                      build_hrd, build_matching, disjoint_union)
+from hyperind import (Caps, CapacityError, Hypergraph, InvalidArgumentError,
+                      build_hrd, build_matching, disjoint_union,
+                      joint_distribution)
 from hyperind import counting
 from hyperind.counting import (count, count_auto, count_branch, count_brute,
-                               ind_hrd_formula, list_independent_sets)
+                               ind_hrd_formula, independent_set_masks)
 
 from conftest import brute_count, random_hypergraph
 
@@ -58,7 +59,7 @@ class TestBrute:
     def test_cap(self):
         with pytest.raises(CapacityError):
             count_brute(Hypergraph(31))
-        assert count_brute(Hypergraph(31), cap=31) == 2 ** 31
+        assert count_brute(Hypergraph(31), caps=Caps(brute=31)) == 2 ** 31
 
 
 def mixed_hypergraph(n, rng, max_size=4):
@@ -207,30 +208,37 @@ class TestProperties:
 
 
 class TestListIndependentSets:
+    """``independent_set_masks``, the listing behind ``joint_distribution``."""
+
     def test_single_pair_edge(self):
         g = Hypergraph(2, [(0, 1)])
-        assert list(list_independent_sets(g)) == [frozenset(), {0}, {1}]
+        assert independent_set_masks(g).tolist() == [0b00, 0b01, 0b10]
 
     def test_h31(self):
         g, _ = build_hrd(3, 1)
-        sets = list(list_independent_sets(g))
-        assert len(sets) == 7
-        assert frozenset({0, 1, 2}) not in sets
+        masks = independent_set_masks(g).tolist()
+        assert len(masks) == 7
+        assert 0b111 not in masks
 
     def test_h32_length_matches_count(self):
         g, _ = build_hrd(3, 2)
-        sets = list(list_independent_sets(g))
-        assert len(sets) == count_brute(g) == 43
-        assert len(set(sets)) == 43
+        masks = independent_set_masks(g).tolist()
+        assert len(masks) == count_brute(g) == 43
+        assert len(set(masks)) == 43
 
     def test_lexicographic_encoding_order(self, rng):
         g = random_hypergraph(6, 2, rng)
-        masks = [sum(1 << v for v in s) for s in list_independent_sets(g)]
+        masks = independent_set_masks(g).tolist()
         assert masks == sorted(masks)
+        assert masks == [m for m in range(1 << 6) if g.is_independent(m)]
 
     def test_cap(self):
+        # the listing's one caller holds the entropy cap
         with pytest.raises(CapacityError):
-            next(list_independent_sets(Hypergraph(25)))
+            joint_distribution(Hypergraph(25))
+        assert joint_distribution(Hypergraph(3), caps=Caps(entropy=3)).total == 8
+        with pytest.raises(CapacityError):
+            joint_distribution(Hypergraph(4), caps=Caps(entropy=3))
 
 
 class TestAuto:

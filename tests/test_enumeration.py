@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from hyperind import CapacityError, EnumSpec, Hypergraph, InvalidArgumentError, \
-    canonical_form, enumerate_regular
+from hyperind import Caps, CapacityError, EnumSpec, Hypergraph, \
+    InvalidArgumentError, canonical_form, enumerate_regular
+from hyperind import enumeration
 from hyperind.enumeration import first_edge_choices
 
 
@@ -161,6 +162,21 @@ class TestUpToIso:
     def test_cap(self):
         with pytest.raises(CapacityError):
             EnumSpec(r=2, d=1, n=14, up_to_iso=True)
+        with pytest.raises(CapacityError):
+            EnumSpec(r=2, d=1, n=6, up_to_iso=True, caps=Caps(canon=5))
+
+    def test_caps_reach_canonical_form(self, monkeypatch):
+        seen = []
+
+        def spy(g, caps):
+            seen.append(caps)
+            return canonical_form(g, caps)
+
+        monkeypatch.setattr(enumeration, "canonical_form", spy)
+        caps = Caps(brute=7, canon=6, entropy=5)
+        assert enumerate_regular(EnumSpec(r=2, d=1, n=6, up_to_iso=True,
+                                          caps=caps)) == 1
+        assert seen == [caps] * 15
 
 
 class TestAutomorphismPartition:

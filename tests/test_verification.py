@@ -1,15 +1,13 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from hyperind import (Hypergraph, InvalidArgumentError, build_hrd,
-                      build_transversal_design_3, check_conjecture,
-                      compare_constructions, conditional_entropy,
-                      disjoint_union, entropy, joint_distribution, marginal,
-                      random_quasi_bipartite, verify_proof_steps)
-from hyperind.core import vertices_of
+from hyperind import (Caps, CapacityError, Hypergraph, InvalidArgumentError,
+                      build_hrd, build_transversal_design_3, check_conjecture,
+                      compare_constructions, disjoint_union, entropy,
+                      joint_distribution, marginal, random_quasi_bipartite,
+                      verify_proof_steps)
 from hyperind.counting import count_brute
 from hyperind.verification import is_union_of_kdd
 
@@ -125,27 +123,26 @@ class TestDistributions:
         g = Hypergraph(2, [(0, 1)])
         dist = joint_distribution(g)
         assert dist.total == 3
-        for s in (frozenset(), frozenset({0}), frozenset({1})):
-            assert dist.probability(s) == Fraction(1, 3)
-        assert dist.probability({0, 1}) == 0
+        # every independent set has weight 1 of 3, and {0, 1} has none
+        assert dist.weights == {0b00: 1, 0b01: 1, 0b10: 1}
 
     def test_free_vertices_uniform_quarter(self):
         dist = joint_distribution(Hypergraph(2))
-        assert all(dist.probability(c) == Fraction(1, 4)
-                   for c in dist.support())
-        assert len(dist.support()) == 4
+        assert dist.total == 4
+        assert dist.weights == {0b00: 1, 0b01: 1, 0b10: 1, 0b11: 1}
 
     def test_h31(self):
         g, _ = build_hrd(3, 1)
         dist = joint_distribution(g)
         assert dist.total == 7
-        assert dist.probability({0, 1, 2}) == 0
+        assert 0b111 not in dist.weights
+        assert sum(dist.weights.values()) == 7
 
     def test_marginal_single_vertex(self):
         g = Hypergraph(2, [(0, 1)])
         m = marginal(joint_distribution(g), {0})
-        assert m.probability({0}) == Fraction(1, 3)
-        assert m.probability(frozenset()) == Fraction(2, 3)
+        assert m.total == 3
+        assert m.weights == {0b0: 2, 0b1: 1}
 
     def test_marginal_sums_to_one(self, rng):
         from conftest import random_hypergraph
@@ -168,17 +165,20 @@ class TestDistributions:
     def test_conditional_on_everything_is_zero(self):
         g, _ = build_hrd(3, 1)
         dist = joint_distribution(g)
+        # H(X_0 | X) = H(X_0, X) - H(X), and X already holds X_0
         full = frozenset(range(3))
-        assert conditional_entropy(dist, {0}, full) == pytest.approx(0.0, abs=1e-12)
+        assert (entropy(marginal(dist, {0} | full))
+                - entropy(marginal(dist, full))) == pytest.approx(0.0, abs=1e-12)
 
     def test_chain_rule(self, rng):
         from conftest import random_hypergraph
         g = random_hypergraph(7, 2, rng)
         dist = joint_distribution(g)
         a, b = {0, 1, 2}, {3, 4, 5, 6}
+        h_a_given_b = entropy(marginal(dist, a | b)) - entropy(marginal(dist, b))
+        assert h_a_given_b >= -1e-12
         assert entropy(dist) == pytest.approx(
-            entropy(marginal(dist, b)) + conditional_entropy(dist, a, b),
-            abs=1e-12)
+            entropy(marginal(dist, b)) + h_a_given_b, abs=1e-12)
 
 
 def _dict_marginal(weights: dict[int, int], smask: int) -> dict[int, int]:
@@ -230,16 +230,13 @@ class TestArraysMatchDictReference:
                   build_hrd(2, 2)[0], cycle(5)):
             dist = joint_distribution(g)
             ind = [m for m in range(1 << g.n) if g.is_independent(m)]
-            assert dist.support() == [frozenset(vertices_of(m)) for m in ind]
-            for m in range(1 << (g.n + 1)):
-                want = Fraction(1 if m in ind else 0, len(ind))
-                assert dist.probability(m) == want
-                assert dist.probability(vertices_of(m)) == want
+            # the support is the independent sets, each with weight 1 of ind(g)
+            assert dist.weights == {m: 1 for m in ind}
+            assert dist.total == len(ind)
             m0 = marginal(dist, {0})
             n0 = sum(1 for m in ind if m & 1)
-            assert m0.probability({0}) == Fraction(n0, len(ind))
-            assert m0.probability(frozenset()) == Fraction(len(ind) - n0, len(ind))
-            assert m0.probability({1}) == 0
+            assert m0.weights == {0: len(ind) - n0, 1: n0}
+            assert m0.total == len(ind)
 
     def test_equality_and_hash(self):
         g, _ = build_hrd(3, 2)
@@ -312,6 +309,27 @@ class TestProofSteps:
     def test_not_quasi_bipartite_rejected(self):
         with pytest.raises(InvalidArgumentError, match="quasi-bipartite"):
             verify_proof_steps(cycle(5))
+
+    def test_caps(self):
+        g, _ = build_hrd(3, 2)  # n = 6; each link spans 4 vertices
+        with pytest.raises(CapacityError, match="joint_distribution"):
+            verify_proof_steps(g, caps=Caps(entropy=5))
+        with pytest.raises(CapacityError, match="count_brute"):
+            verify_proof_steps(g, caps=Caps(brute=3))
+        assert verify_proof_steps(g, caps=Caps(brute=4, entropy=6)).all_passed
+
+
+class TestCapsReachCounting:
+    def test_check_conjecture(self):
+        assert check_conjecture(cycle(5), caps=Caps(brute=5)).holds
+        with pytest.raises(CapacityError):
+            check_conjecture(cycle(5), caps=Caps(brute=4))
+
+    def test_compare_constructions(self):
+        # the rival K_{2,2,2} has 6 vertices
+        assert compare_constructions(3, t=2, caps=Caps(brute=6)).winner == "hrd"
+        with pytest.raises(CapacityError):
+            compare_constructions(3, t=2, caps=Caps(brute=5))
 
     def test_lambda_two_ways_agree(self):
         rng = random.Random(9)
