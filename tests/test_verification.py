@@ -319,18 +319,6 @@ class TestProofSteps:
         assert verify_proof_steps(g, caps=Caps(brute=4, entropy=6)).all_passed
 
 
-class TestCapsReachCounting:
-    def test_check_conjecture(self):
-        assert check_conjecture(cycle(5), caps=Caps(brute=5)).holds
-        with pytest.raises(CapacityError):
-            check_conjecture(cycle(5), caps=Caps(brute=4))
-
-    def test_compare_constructions(self):
-        # the rival K_{2,2,2} has 6 vertices
-        assert compare_constructions(3, t=2, caps=Caps(brute=6)).winner == "hrd"
-        with pytest.raises(CapacityError):
-            compare_constructions(3, t=2, caps=Caps(brute=5))
-
     def test_lambda_two_ways_agree(self):
         rng = random.Random(9)
         for _ in range(5):
@@ -367,3 +355,16 @@ class TestCapsReachCounting:
                             lam_sum += 2 if g.is_independent(frozenset(sub) | {a}) else 1
                 induced = g.restrict([a] + span)
                 assert lam_sum == count_brute(induced)
+
+
+class TestCapsReachCounting:
+    def test_check_conjecture(self):
+        assert check_conjecture(cycle(5), caps=Caps(brute=5)).holds
+        with pytest.raises(CapacityError):
+            check_conjecture(cycle(5), caps=Caps(brute=4))
+
+    def test_compare_constructions(self):
+        # the rival K_{2,2,2} has 6 vertices
+        assert compare_constructions(3, t=2, caps=Caps(brute=6)).winner == "hrd"
+        with pytest.raises(CapacityError):
+            compare_constructions(3, t=2, caps=Caps(brute=5))
