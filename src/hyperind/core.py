@@ -26,8 +26,9 @@ class Caps:
     * canon -- ``canonical_form``, whose labeling search is exponential in
       the worst case; twin and automorphism pruning keep the symmetric
       inputs seen so far (K_{6,6}, TD3(4), C_12) to milliseconds at n = 12;
-    * entropy -- ``joint_distribution``, the 2^n table behind the proof
-      checker.
+    * entropy -- ``joint_distribution``, which tests the 2^|onto| subsets
+      of its ``onto`` vertices: 2^n for the exhaustive table, 2^|B| for the
+      B-side weights the proof checker uses.  The cap bounds n either way.
     """
 
     brute: int = 30

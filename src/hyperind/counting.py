@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Caps, Hypergraph
+from .core import Caps, Hypergraph, vertices_of
 from .errors import CapacityError, InvalidArgumentError
 
 _CHUNK = 1 << 20
@@ -93,14 +93,34 @@ def _low_patterns(k: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-def independent_set_masks(g: Hypergraph) -> np.ndarray:
-    """All independent sets as a ``np.uint64`` array of bitmasks, in increasing
-    order of the encoding.  It takes 2^n steps and holds every independent
-    set; ``joint_distribution``, its caller, caps n."""
-    emasks = np.array(g.edge_masks, dtype=np.uint64)
+def independent_set_masks(g: Hypergraph, within: int | None = None) -> np.ndarray:
+    """The independent sets of the subhypergraph induced on the vertex mask
+    ``within`` (default: all of g) as a ``np.uint64`` array of bitmasks, in
+    increasing order of the encoding.
+
+    It tests all 2^|within| subsets of ``within`` against the edges inside
+    it, 2^20 at a time: subset i is i's bits dealt out, in order, to the
+    vertices of ``within``, one contiguous run of vertices per shift.
+    ``joint_distribution``, its caller, caps n.
+    """
+    if within is None:
+        within = (1 << g.n) - 1
+    verts = vertices_of(within)
+    runs = []  # [first bit of i, first vertex, length] per run of vertices
+    for bit, v in enumerate(verts):
+        if bit and verts[bit - 1] == v - 1:
+            runs[-1][2] += 1
+        else:
+            runs.append([bit, v, 1])
+    emasks = np.array([em for em in g.edge_masks if em & ~within == 0],
+                      dtype=np.uint64)
     parts = []
-    for start in range(0, 1 << g.n, _CHUNK):
-        subs = np.arange(start, min(start + _CHUNK, 1 << g.n), dtype=np.uint64)
+    for start in range(0, 1 << len(verts), _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, 1 << len(verts)),
+                        dtype=np.uint64)
+        subs = np.zeros_like(idx)
+        for bit, v, length in runs:
+            subs |= ((idx >> bit) & ((1 << length) - 1)) << v
         ok = np.ones(len(subs), dtype=bool)
         for em in emasks:
             ok &= (subs & em) != em

@@ -7,11 +7,20 @@ for reported entropies and slack, never for verdicts.  All probabilities are
 exact rationals with denominator ind(G); the only rounding site is the final
 base-2 logarithm, so every float inequality is checked at a small tolerance.
 
-The joint distribution is the numpy array of independent-set bitmasks, each
-with count 1.  A marginal projects the masks onto a vertex subset and counts
-the distinct projections with ``np.unique``, so no Python loop runs over the
-independent sets.  Counts leave the arrays as Python ints before they reach
-an entropy sum or a report.
+The proof checker works on the B side of a quasi-bipartite G.  B spans no
+edge, and given J = I & B an A-vertex may join I exactly when no edge of its
+link lies inside J, so P(I & B = J) is proportional to 2^f(J), f(J) being
+the number of such free A-vertices (Kahn's entropy argument rests on the
+same factorisation).  ``joint_distribution(g, onto=B)`` lists the 2^|B|
+configurations J with those integer weights; every marginal the steps use
+is read from them, and no array of 2^n or ind(G) entries is built.  With
+``onto`` left at every vertex the same code lists the independent sets
+with weight 1 each, the exhaustive table the tests hold the checker to.
+
+A marginal projects the configurations onto a vertex subset and sums their
+weights exactly in int64 (a stable sort, then ``np.add.reduceat``), so no
+Python loop runs over the configurations.  Counts leave the arrays as
+Python ints before they reach an entropy sum or a report.
 """
 
 from __future__ import annotations
@@ -198,26 +207,64 @@ class SubsetDistribution:
         return dict(zip(self.configs.tolist(), self.counts.tolist()))
 
 
-def joint_distribution(g: Hypergraph,
-                       caps: Caps = Caps()) -> SubsetDistribution:
-    """Uniform distribution over the independent sets of g, as exact rationals
-    with denominator ind(g)."""
+def joint_distribution(g: Hypergraph, caps: Caps = Caps(),
+                       onto: int | None = None) -> SubsetDistribution:
+    """The distribution of I & onto for I uniform over the independent sets
+    of g, as exact rationals with denominator ind(g).
+
+    ``onto`` is a vertex mask, every vertex by default.  Each edge must meet
+    the complement C of ``onto`` in at most one vertex.  Then, given
+    J = I & onto, each vertex of C is free or blocked on its own, and the
+    weight of J is 2^(number of free vertices of C).  The configurations are
+    the subsets of ``onto`` independent in g[onto], in increasing order.
+    """
     if g.n > caps.entropy:
         raise CapacityError(
             f"joint_distribution capped at n <= {caps.entropy}, got n = {g.n}")
-    masks = independent_set_masks(g)
-    return SubsetDistribution(domain=(1 << g.n) - 1, configs=masks,
-                              counts=np.ones(len(masks), dtype=np.int64),
-                              total=len(masks))
+    everything = (1 << g.n) - 1
+    onto = everything if onto is None else onto
+    if onto & ~everything:
+        raise InvalidArgumentError("onto holds vertices outside the hypergraph")
+    rest = everything & ~onto
+    blockers: dict[int, list[int]] = {}  # c in C -> the rest of each edge
+    for e, em in zip(g.edges, g.edge_masks):
+        outside = em & rest
+        if outside & (outside - 1):
+            raise InvalidArgumentError(
+                f"edge {e} meets the complement of onto in "
+                f"{outside.bit_count()} vertices; at most one is allowed")
+        if outside:
+            blockers.setdefault(outside, []).append(em ^ outside)
+    configs = independent_set_masks(g, onto)
+    blocked = np.zeros(len(configs), dtype=np.int64)
+    for rests in blockers.values():
+        blocked += _contains_any(configs, rests)
+    counts = np.left_shift(np.int64(1), rest.bit_count() - blocked)
+    return SubsetDistribution(domain=onto, configs=configs, counts=counts,
+                              total=int(counts.sum()))
+
+
+def _contains_any(configs: np.ndarray, masks: Iterable[int]) -> np.ndarray:
+    """Per configuration, whether it holds all of at least one of masks."""
+    hit = np.zeros(len(configs), dtype=bool)
+    for m in masks:
+        hit |= (configs & np.uint64(m)) == m
+    return hit
 
 
 def _project(configs: np.ndarray, counts: np.ndarray,
              smask: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of configs & smask, ascending, with their summed
-    integer weights.  np.repeat expands each weight into that many copies,
-    so np.unique's counts are the exact sums."""
-    return np.unique(np.repeat(configs & np.uint64(smask), counts),
-                     return_counts=True)
+    integer weights: a stable sort, then one int64 ``np.add.reduceat`` over
+    each run of equal values.  The sums are exact, and nothing is larger
+    than the input."""
+    keys = configs & np.uint64(smask)
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    run_starts = np.ones(len(keys), dtype=bool)
+    run_starts[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(run_starts)
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def marginal(dist: SubsetDistribution,
@@ -229,6 +276,25 @@ def marginal(dist: SubsetDistribution,
     configs, counts = _project(dist.configs, dist.counts, smask)
     return SubsetDistribution(domain=smask, configs=configs, counts=counts,
                               total=dist.total)
+
+
+def _add_a_vertex(dist_b: SubsetDistribution, a: int,
+                  link: Iterable[Iterable[int]]) -> SubsetDistribution:
+    """The distribution of X_{a} u X_B from the B-side weights 2^f(J).
+
+    Vertex a is blocked in J when an edge of its link lies inside J, and J
+    keeps its weight.  Otherwise a is one of J's f(J) free vertices, and the
+    weight splits evenly between J and J + a.
+    """
+    abit = np.uint64(1 << a)
+    free = ~_contains_any(dist_b.configs, (mask_of(e) for e in link))
+    configs = np.concatenate((dist_b.configs, dist_b.configs[free] | abit))
+    counts = np.concatenate((np.where(free, dist_b.counts >> 1, dist_b.counts),
+                             dist_b.counts[free] >> 1))
+    order = np.argsort(configs, kind="stable")
+    return SubsetDistribution(domain=dist_b.domain | (1 << a),
+                              configs=configs[order], counts=counts[order],
+                              total=dist_b.total)
 
 
 def entropy(dist: SubsetDistribution) -> float:
@@ -318,23 +384,29 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
         raise InvalidArgumentError(
             "hypergraph is not quasi-bipartite (recognizer found no certificate)")
 
-    dist = joint_distribution(g, caps)
     a_side = sorted(cert.a_side)
     b_mask = mask_of(cert.b_side)
     a_mask = mask_of(cert.a_side)
-    ind_g = dist.total
-    h_x = entropy(dist)
+    # X_B with weight 2^f(J) on each J, which sum to ind(G); X is uniform
+    dist_b = joint_distribution(g, caps, onto=b_mask)
+    ind_g = dist_b.total
+    h_x = log2(ind_g)
 
     span_masks = {a: mask_of(v for e in cert.link_matchings[a] for v in e)
                   for a in a_side}
-    span_margs = {a: marginal(dist, span_masks[a]) for a in a_side}
-    # each distinct marginal's entropy is computed once; the steps reuse it
-    entropies = {span_masks[a]: entropy(span_margs[a]) for a in a_side}
-
-    def h(mask: int) -> float:
-        if mask not in entropies:
-            entropies[mask] = entropy(marginal(dist, mask))
-        return entropies[mask]
+    # per a: the span marginal, and X_{a} u X_span from X_{a} u X_B; each
+    # distinct marginal's entropy is computed once and the steps reuse it
+    entropies = {b_mask: entropy(dist_b), a_mask | b_mask: h_x}
+    span_margs: dict[int, SubsetDistribution] = {}
+    a_span_margs: dict[int, SubsetDistribution] = {}
+    for a in a_side:
+        a_and_b = _add_a_vertex(dist_b, a, cert.link_matchings[a])
+        span_margs[a] = marginal(dist_b, span_masks[a])
+        a_span_margs[a] = marginal(a_and_b, (1 << a) | span_masks[a])
+        for m in (a_and_b, span_margs[a], a_span_margs[a]):
+            if m.domain not in entropies:
+                entropies[m.domain] = entropy(m)
+    h = entropies.__getitem__
 
     steps: list[ProofStep] = []
     findings: list[str] = []
@@ -375,10 +447,10 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
         smask = span_masks[a]
         abit = 1 << a
         marg = span_margs[a]
-        has_a = (dist.configs & np.uint64(abit)) != 0
-        a_configs, a_counts = _project(dist.configs[has_a],
-                                       dist.counts[has_a], smask)
-        with_a = dict(zip(a_configs.tolist(), a_counts.tolist()))
+        a_span = a_span_margs[a]
+        has_a = (a_span.configs & np.uint64(abit)) != 0
+        with_a = dict(zip((a_span.configs[has_a] ^ np.uint64(abit)).tolist(),
+                          a_span.counts[has_a].tolist()))
         lambdas: dict[int, int] = {}
         for config, w_total in marg.weights.items():
             lam = 2 if g.is_independent(config | abit) else 1

@@ -232,6 +232,18 @@ class TestListIndependentSets:
         assert masks == sorted(masks)
         assert masks == [m for m in range(1 << 6) if g.is_independent(m)]
 
+    def test_within_an_induced_subhypergraph(self, rng):
+        # non-contiguous masks exercise every run of the bit scatter
+        for _ in range(20):
+            g = random_hypergraph(9, rng.choice((2, 3)), rng)
+            within = rng.getrandbits(9)
+            inside = Hypergraph(9, [e for e in g.edges
+                                    if all(within >> v & 1 for v in e)])
+            assert independent_set_masks(g, within).tolist() == [
+                m for m in range(1 << 9)
+                if m & ~within == 0 and inside.is_independent(m)]
+        assert independent_set_masks(Hypergraph(3, [(1,)]), 0).tolist() == [0]
+
     def test_cap(self):
         # the listing's one caller holds the entropy cap
         with pytest.raises(CapacityError):

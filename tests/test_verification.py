@@ -1,15 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hyperind import (Caps, CapacityError, Hypergraph, InvalidArgumentError,
                       build_hrd, build_transversal_design_3, check_conjecture,
                       compare_constructions, disjoint_union, entropy,
-                      joint_distribution, marginal, random_quasi_bipartite,
-                      verify_proof_steps)
-from hyperind.counting import count_brute
-from hyperind.verification import is_union_of_kdd
+                      joint_distribution, marginal, mask_of, quasi_bipartition,
+                      random_quasi_bipartite, verify_proof_steps, vertices_of)
+from hyperind.counting import count_brute, ind_hrd_formula
+from hyperind.verification import (PROOF_EPS, ProofStep, ProofStepReport,
+                                   SubsetDistribution, _binary_entropy,
+                                   _tighter, infer_uniform_regular,
+                                   is_union_of_kdd)
 
 
 def cycle(n):
@@ -248,6 +252,105 @@ class TestArraysMatchDictReference:
         assert dist == marginal(dist, dist.domain)
 
 
+def _admissible(g, onto):
+    """Every edge meets the complement of onto in at most one vertex."""
+    rest = ((1 << g.n) - 1) & ~onto
+    return all((em & rest).bit_count() <= 1 for em in g.edge_masks)
+
+
+def _mixed_hypergraph(n, rng):
+    """Random edges of sizes 1 to 3 on n vertices; some vertices may be
+    isolated."""
+    edges = []
+    for _ in range(rng.randint(0, n)):
+        size = rng.choice((1, 2, 2, 3, 3))
+        if size <= n:
+            edges.append(rng.sample(range(n), size))
+    return Hypergraph(n, edges)
+
+
+class TestJointOnto:
+    """``joint_distribution(g, onto=S)`` against the marginal of the
+    exhaustive table."""
+
+    def _check_every_subset(self, g):
+        full = joint_distribution(g)
+        admissible = 0
+        for onto in range(1 << g.n):
+            if _admissible(g, onto):
+                admissible += 1
+                assert joint_distribution(g, onto=onto) == marginal(full, onto), \
+                    (g.edges, onto)
+            else:
+                with pytest.raises(InvalidArgumentError, match="complement"):
+                    joint_distribution(g, onto=onto)
+        return admissible
+
+    def test_random_mixed_sizes(self):
+        rng = random.Random(20261018)
+        for _ in range(25):
+            g = _mixed_hypergraph(rng.randint(1, 12), rng)
+            assert self._check_every_subset(g) >= 1  # onto = everything
+
+    def test_edgeless_and_isolated(self):
+        # with no edges every S is admissible and every weight is 2^|C|
+        assert self._check_every_subset(Hypergraph(8)) == 1 << 8
+        assert self._check_every_subset(Hypergraph(0)) == 1
+        self._check_every_subset(Hypergraph(7, [(0, 1, 2), (3,)]))
+
+    def test_random_quasi_bipartite_sizes_to_12(self):
+        # larger graphs: S = B plus random sets of A-vertices, and random S
+        rng = random.Random(5)
+        for r, d, num_a in [(3, 2, 4), (4, 2, 3), (2, 3, 6), (2, 2, 5)]:
+            g = random_quasi_bipartite(r, d, num_a, rng)
+            full = joint_distribution(g)
+            b_mask = mask_of(quasi_bipartition(g).b_side)
+            for _ in range(20):
+                onto = b_mask | (rng.getrandbits(num_a) & ((1 << num_a) - 1))
+                assert joint_distribution(g, onto=onto) == marginal(full, onto)
+                onto = rng.getrandbits(g.n)
+                if _admissible(g, onto):
+                    assert joint_distribution(g, onto=onto) == marginal(full, onto)
+
+    def test_two_complement_vertices_in_one_edge(self):
+        g = Hypergraph(4, [(0, 1, 2), (2, 3)])
+        with pytest.raises(InvalidArgumentError, match="complement"):
+            joint_distribution(g, onto=0b0001)  # edge (2, 3) is outside
+        with pytest.raises(InvalidArgumentError, match="complement"):
+            joint_distribution(g, onto=0b1100)  # edge (0, 1, 2) has two out
+        assert joint_distribution(g, onto=0b0110).total == count_brute(g)
+
+    def test_onto_outside_the_vertices(self):
+        with pytest.raises(InvalidArgumentError):
+            joint_distribution(Hypergraph(3), onto=0b1000)
+
+    def test_cap_holds_for_onto(self):
+        with pytest.raises(CapacityError, match="joint_distribution capped"):
+            joint_distribution(Hypergraph(25), onto=1)
+
+
+class TestProjection:
+    def test_huge_weights_stay_exact_without_expansion(self):
+        # expanding each weight into that many copies would need 2^41 entries
+        big = 1 << 40
+        dist = SubsetDistribution(
+            domain=0b111, configs=np.array([0, 1, 2, 3, 5], dtype=np.uint64),
+            counts=np.array([big, 1, big, 3, big], dtype=np.int64),
+            total=3 * big + 4)
+        m = marginal(dist, 0b001)
+        assert m.weights == {0: 2 * big, 1: big + 4}
+        assert marginal(dist, 0b110).weights == {0: big + 1, 2: big + 3,
+                                                  4: big}
+        assert marginal(dist, 0).weights == {0: 3 * big + 4}
+        assert m.total == 3 * big + 4
+
+    def test_empty_support(self):
+        empty = SubsetDistribution(domain=0b11,
+                                   configs=np.array([], dtype=np.uint64),
+                                   counts=np.array([], dtype=np.int64), total=0)
+        assert marginal(empty, 0b01).weights == {}
+
+
 class TestProofSteps:
     def test_extremal_instances_pass(self):
         for r, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
@@ -318,6 +421,13 @@ class TestProofSteps:
             verify_proof_steps(g, caps=Caps(brute=3))
         assert verify_proof_steps(g, caps=Caps(brute=4, entropy=6)).all_passed
 
+    def test_random_instance_at_the_entropy_cap(self):
+        # n = 24, |B| = 16: the B-side weights take 2^16 configurations
+        g = random_quasi_bipartite(3, 2, 8, random.Random(24))
+        rep = verify_proof_steps(g)
+        assert rep.n == 24
+        assert rep.ind_g == count_brute(g)
+        assert rep.all_passed
 
     def test_lambda_two_ways_agree(self):
         rng = random.Random(9)
@@ -368,3 +478,117 @@ class TestCapsReachCounting:
         assert compare_constructions(3, t=2, caps=Caps(brute=6)).winner == "hrd"
         with pytest.raises(CapacityError):
             compare_constructions(3, t=2, caps=Caps(brute=5))
+
+
+def reference_verify_proof_steps(g, eps=PROOF_EPS, caps=Caps()):
+    """The exhaustive proof checker the B-side one replaced, kept as a
+    reference: every marginal is projected from the 2^n table of independent
+    sets, each with weight 1."""
+    r, d = infer_uniform_regular(g)
+    cert = quasi_bipartition(g)
+    dist = joint_distribution(g, caps)
+    a_side = sorted(cert.a_side)
+    b_mask = mask_of(cert.b_side)
+    a_mask = mask_of(cert.a_side)
+    h_x = entropy(dist)
+    span_masks = {a: mask_of(v for e in cert.link_matchings[a] for v in e)
+                  for a in a_side}
+    entropies = {}
+
+    def h(mask):
+        if mask not in entropies:
+            entropies[mask] = entropy(marginal(dist, mask))
+        return entropies[mask]
+
+    steps, findings = [], []
+    cover = {b: 0 for b in cert.b_side}
+    for a in a_side:
+        for b in vertices_of(span_masks[a]):
+            cover[b] += 1
+    counts = sorted(cover.values()) or [d]
+    steps.append(ProofStep("cover-validity", float(counts[0]), float(counts[-1]),
+                           counts[0] == d and counts[-1] == d))
+    h_b = h(b_mask)
+    shearer_rhs = sum(h(span_masks[a]) for a in a_side) / d
+    steps.append(ProofStep("shearer", h_b, shearer_rhs, h_b <= shearer_rhs + eps))
+    h_a_given_b = h(a_mask | b_mask) - h_b
+    sub_rhs = sum(h((1 << a) | b_mask) - h_b for a in a_side)
+    steps.append(ProofStep("subadditivity", h_a_given_b, sub_rhs,
+                           h_a_given_b <= sub_rhs + eps))
+    worst_eq = 0.0
+    for a in a_side:
+        diff = abs((h((1 << a) | b_mask) - h_b)
+                   - (h((1 << a) | span_masks[a]) - h(span_masks[a])))
+        worst_eq = max(worst_eq, diff)
+        if diff > eps:
+            findings.append(
+                f"conditioning reduction differs by {diff:.3e} bits at vertex {a}")
+    steps.append(ProofStep("conditioning-reduction", worst_eq, 0.0, True))
+
+    lambda_pass = True
+    worst_lambda = worst_jensen = worst_count = worst_link = None
+    for a in a_side:
+        smask = span_masks[a]
+        abit = 1 << a
+        marg = marginal(dist, smask)
+        has_a = (dist.configs & np.uint64(abit)) != 0
+        with_a = marginal(SubsetDistribution(dist.domain, dist.configs[has_a],
+                                             dist.counts[has_a], dist.total),
+                          smask).weights
+        lambdas = {}
+        for config, w_total in marg.weights.items():
+            lam = 2 if g.is_independent(config | abit) else 1
+            lambdas[config] = lam
+            w1 = with_a.get(config, 0)
+            h_cond = _binary_entropy(w1, w_total - w1)
+            worst_lambda = _tighter(worst_lambda, h_cond, math.log2(lam))
+            if h_cond - math.log2(lam) > eps or lam not in (1, 2):
+                lambda_pass = False
+        lam_sum = sum(lam ** d for lam in lambdas.values())
+        jensen_lhs = sum(
+            (w / marg.total) * (d * math.log2(lambdas[c]) - math.log2(w / marg.total))
+            for c, w in marg.weights.items())
+        worst_jensen = _tighter(worst_jensen, jensen_lhs, math.log2(lam_sum))
+        link_graph = Hypergraph(g.n, cert.link_matchings[a]).restrict(
+            vertices_of(smask))
+        ind_link = count_brute(link_graph, caps)
+        worst_count = _tighter(worst_count, lam_sum,
+                               2 ** smask.bit_count() + (2 ** d - 1) * ind_link)
+        worst_link = _tighter(worst_link, ind_link, (2 ** (r - 1) - 1) ** d)
+
+    steps.append(ProofStep("lambda-bound", worst_lambda[0], worst_lambda[1],
+                           lambda_pass))
+    steps.append(ProofStep("jensen", worst_jensen[0], worst_jensen[1],
+                           worst_jensen[0] <= worst_jensen[1] + eps))
+    steps.append(ProofStep("counting-bound", float(worst_count[0]),
+                           float(worst_count[1]), worst_count[0] <= worst_count[1]))
+    steps.append(ProofStep("link-bound", float(worst_link[0]),
+                           float(worst_link[1]), worst_link[0] <= worst_link[1]))
+    hrd_bound = (g.n / (r * d)) * math.log2(ind_hrd_formula(r, d))
+    steps.append(ProofStep("final-bound", h_x, hrd_bound, h_x <= hrd_bound + eps))
+    return ProofStepReport(n=g.n, r=r, d=d, ind_g=dist.total, log2_ind=h_x,
+                           hrd_bound_bits=hrd_bound, steps=tuple(steps),
+                           findings=tuple(findings))
+
+
+class TestBSideMatchesExhaustiveReference:
+    """Reports from the B-side weights equal the exhaustive ones with ==,
+    every float included."""
+
+    def test_hrd(self):
+        for r, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2)]:
+            g, _ = build_hrd(r, d)
+            assert verify_proof_steps(g) == reference_verify_proof_steps(g), (r, d)
+
+    def test_random_proof_shapes(self):
+        # the (r, d) shapes of the benchmark's proof workload, at n <= 18
+        rng = random.Random(20261018)
+        for r, d, sizes in [(3, 2, (2, 3, 4, 5, 6)), (2, 3, (3, 5, 7, 9)),
+                            (4, 2, (2, 3, 4))]:
+            for num_a in sizes:
+                for _ in range(2):
+                    g = random_quasi_bipartite(r, d, num_a, rng)
+                    assert g.n <= 18
+                    rep = verify_proof_steps(g)
+                    assert rep == reference_verify_proof_steps(g), g.edges
+                    assert rep.all_passed
