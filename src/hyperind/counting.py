@@ -5,15 +5,17 @@ Three routes, all returning exact Python integers:
 * ``ind_hrd_formula`` -- the closed form for the extremal family H(r,d),
 * ``count_brute`` -- exhaustive subset iteration, bit-parallel: one bit per
   subset of the low vertices in a Python integer,
-* ``count_branch`` -- branch-and-reduce on the monotone constraint system
-  "not all of e selected", one constraint per edge, with component
-  decomposition at every node and a per-call cache of component counts,
-  keyed on a component's edges shifted down to vertex 0 (component
-  caching as in #SAT solvers).
+* ``count_branch`` -- a sum over vertex states along one greedy vertex
+  order (frontier dynamic programming, the variable-elimination view of
+  recursive conditioning).  Each step maps every state -- the forced-out
+  vertices and the started edges still open -- to its out and in
+  successors and adds the counts of equal states, so the work is
+  exponential only in the width of the order, and a loop over the order
+  replaces recursion.
 
 ``count(g, method)`` is the one entry point: ``"auto"`` runs ``count_auto``
-(brute force below 20 vertices, branch-and-reduce from 20), and
-``"brute"`` and ``"branch"`` run those routes.
+(brute force below 20 vertices, ``count_branch`` from 20), and ``"brute"``
+and ``"branch"`` run those routes.
 
 ``count_brute`` is the independent oracle: ``count_branch`` is validated
 against it, never the other way around.
@@ -22,6 +24,8 @@ against it, never the other way around.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappop, heappush
+from itertools import groupby
 
 import numpy as np
 
@@ -129,117 +133,218 @@ def independent_set_masks(g: Hypergraph, within: int | None = None) -> np.ndarra
 
 
 def count_branch(g: Hypergraph) -> int:
-    """Branch-and-reduce count of independent sets with a component cache.
+    """Count independent sets by summing over vertex states along a vertex
+    order, one vertex at a time (frontier dynamic programming).
 
-    Each node splits its constraints ("not all of e selected", one per edge)
-    into connected components and multiplies their counts; vertices in no
-    constraint contribute a factor of 2 each.  A component with one edge
-    has 2^|e| - 1 independent sets.  Otherwise it branches on a pivot
-    vertex (maximum degree, smallest index on ties): the excluded branch
-    drops every constraint through the pivot, and the included branch
-    shrinks them, forces out the vertex of any constraint shrunk to one
-    vertex, and drops the constraints that now contain a shrunk one.  The
-    input is made superset-free once; both branches keep it so.
+    The input is first made superset-free; a unit edge {v} is then the only
+    edge through v, so v is simply out.  ``_elimination_order`` fixes the order
+    once, and ``_frontier_sum`` walks it.  After each step the processed
+    vertices are summarised by a state (F, S) with an exact count of the
+    choices that lead to it:
 
-    A component's vertex set is the union of its edges, so its edges alone
-    fix its count.  Counts are cached under the component's edges shifted
-    down by its lowest vertex, so translated copies share an entry.  The
-    cache lives for one call.
+    * F, the unprocessed vertices that the choices force out: the last
+      vertex of an edge whose other vertices are all in;
+    * S, the started edges whose processed vertices are all in, whose
+      unprocessed rest has at least two vertices, and which miss F.
+
+    Equal states have equal futures, so their counts add.  The order
+    finishes one component before it starts the next, so between components
+    the only state is the empty one, and the counts multiply.  Vertices on
+    no edge contribute a factor of 2 each.  Nothing recurses: the walk is
+    one loop over the order, so long paths and cycles need no deeper stack
+    than short ones.
     """
-    return _count(_drop_supersets(g.edge_masks), g.n, {})
+    kept = _drop_supersets(g.edge_masks)
+    covered = 0
+    for e in kept:
+        covered |= e
+    as_tuple = dict(zip(g.edge_masks, g.edges))
+    edges = [as_tuple[e] for e in kept if e & (e - 1)]
+    order = _elimination_order(g.n, edges)
+    return _frontier_sum(order, edges) << (g.n - covered.bit_count())
 
 
-def _count(edges: list[int] | tuple[int, ...], nv: int,
-           cache: dict[tuple[int, ...], int]) -> int:
-    """Independent sets of an nv-vertex set that holds every edge of the
-    superset-free edge list ``edges``."""
-    result = 1
-    for cmask, cedges in _components(edges):
-        k = cmask.bit_count()
-        nv -= k
-        if len(cedges) == 1:
-            result *= (1 << k) - 1
+def _elimination_order(n: int, edges: list[tuple[int, ...]]) -> list[int]:
+    """The vertices of ``edges`` in a greedy order of small frontier.
+
+    An edge is started once one of its vertices is placed, and closed when
+    one vertex is left.  Among the vertices on a started edge, the next one
+    starts the fewest new edges net of the started edges it is on and of
+    those it closes; ties go to the highest degree, then the lowest index.
+    When no started edge has an unplaced vertex the component is done, and
+    the next one begins at its lowest-degree vertex.  Placing a vertex only
+    improves the keys of the vertices on its edges, so a lazy heap holds
+    them: each change pushes a fresh key, and a popped key that is no longer
+    current is skipped.
+    """
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v].append(i)
+    unplaced = [len(e) for e in edges]
+    # the key's first entry: unstarted edges minus started and closing ones
+    gain = [len(x) for x in inc]
+    placed = [False] * n
+    order: list[int] = []
+
+    def key(v: int) -> tuple[int, int, int]:
+        return (gain[v], -len(inc[v]), v)
+
+    for seed in sorted((v for v in range(n) if inc[v]),
+                       key=lambda v: (len(inc[v]), v)):
+        if placed[seed]:
             continue
-        shift = (cmask & -cmask).bit_length() - 1
-        key = tuple(sorted([e >> shift for e in cedges]))
-        c = cache.get(key)
-        if c is None:
-            pivot = _pivot(cedges)
-            excluded = [e for e in cedges if not e & pivot]
-            # including the pivot shrinks its edges; a shrunk edge {v} forces
-            # v out, and an unshrunk edge holding a shrunk one is redundant
-            # (e - p inside f - p would put e inside f)
-            shrunk = []
-            forced = touched = 0
-            for e in cedges:
-                if e & pivot:
-                    e ^= pivot
-                    if e & (e - 1):
-                        shrunk.append(e)
-                        touched |= e
-                    else:
-                        forced |= e
-            included = shrunk + [
-                e for e in excluded if not e & forced and not (
-                    e & touched and any(e & s == s for s in shrunk))]
-            c = (_count(excluded, k - 1, cache)
-                 + _count(included, k - 1 - forced.bit_count(), cache))
-            cache[key] = c
-        result *= c
-    return result << nv
+        heap = [key(seed)]
+        while heap:
+            k = heappop(heap)
+            v = k[-1]
+            if placed[v] or k != key(v):
+                continue
+            placed[v] = True
+            order.append(v)
+            for i in inc[v]:
+                e = edges[i]
+                opened = unplaced[i] == len(e)
+                unplaced[i] -= 1
+                if not opened and unplaced[i] != 1:
+                    continue
+                for u in e:
+                    if not placed[u]:
+                        # started: one fewer unstarted, one more started;
+                        # closed: u is its last vertex
+                        gain[u] -= (2 if opened else 0) + (unplaced[i] == 1)
+                        heappush(heap, key(u))
+    return order
 
 
-def _pivot(edges: list[int]) -> int:
-    """The bit of a maximum-degree vertex, the smallest on ties."""
-    levels: list[int] = []  # levels[i]: the vertices of degree > i so far
-    for e in edges:
-        for i, level in enumerate(levels):
-            levels[i] = level | e
-            e &= level
-            if not e:
-                break
-        else:
-            levels.append(e)
-    top = levels[-1]
-    return top & -top
+def _frontier_sum(order: list[int], edges: list[tuple[int, ...]]) -> int:
+    """Independent sets of the vertices of ``order``, which hold every edge
+    of ``edges`` (superset-free, two or more vertices each).
+
+    A state is one int.  Each edge of three or more vertices owns a bit
+    while it can be in S, from its first vertex to its last but one, and
+    each vertex owns one while it can be in F, from the last but one vertex
+    of an edge that ends at it to itself.  A freed bit is reused, so states
+    stay as wide as the frontier, not the input.  Each step is compiled
+    once into masks, and applying it to a state is a few integer operations.
+    """
+    steps = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    edges = [sorted(e, key=pos.__getitem__) for e in edges]
+    opening: list[list[int]] = [[] for _ in range(steps)]  # by first vertex
+    closing: list[list[int]] = [[] for _ in range(steps)]  # by last but one
+    forceable: dict[int, int] = {}  # vertex -> first step it can be in F
+    for j, e in enumerate(edges):
+        opening[pos[e[0]]].append(j)
+        penult = pos[e[-2]]
+        forceable[e[-1]] = min(forceable.get(e[-1], steps), penult)
+        if len(e) > 2:
+            closing[penult].append(j)
+    becomes_forceable: list[list[int]] = [[] for _ in range(steps)]
+    for u, i in forceable.items():
+        becomes_forceable[i].append(u)
+
+    free: list[int] = []
+    width = 0
+
+    def take() -> int:
+        nonlocal width
+        if free:
+            return 1 << heappop(free)
+        width += 1
+        return 1 << (width - 1)
+
+    edge_bit = [0] * len(edges)
+    vertex_bit: dict[int, int] = {}
+    # vertex -> bits of the edges through it that can be in S
+    live = dict.fromkeys(order, 0)
+    plan = []
+    for i, v in enumerate(order):
+        for u in becomes_forceable[i]:
+            vertex_bit[u] = take()
+        own = vertex_bit.get(v, 0)
+        out_keep = ~(own | live[v])
+        in_clear = own
+        for j in closing[i]:
+            in_clear |= edge_bit[j]
+            for u in edges[j]:
+                live[u] ^= edge_bit[j]
+        # an edge in S that v closes forces its last vertex out, and the edges
+        # through that vertex leave S: (edge bit, vertex bit, bits to keep)
+        forcing = [(edge_bit[j], vertex_bit[edges[j][-1]],
+                    ~live[edges[j][-1]]) for j in closing[i]]
+        add = 0
+        in_keep = ~in_clear
+        opened = []  # (bits of F that block the edge, edge bit)
+        for j in opening[i]:
+            e = edges[j]
+            if len(e) == 2:
+                add |= vertex_bit[e[1]]
+                in_keep &= ~live[e[1]]
+                continue
+            bit = edge_bit[j] = take()
+            blockers = 0
+            for u in e[1:]:
+                if forceable.get(u, steps) <= i:
+                    blockers |= vertex_bit[u]
+            if blockers:
+                opened.append((blockers, bit))
+            else:
+                add |= bit
+        for j in opening[i]:
+            for u in edges[j]:
+                live[u] |= edge_bit[j]
+        plan.append((own, out_keep, in_keep, add, forcing, opened))
+        for j in closing[i]:
+            heappush(free, edge_bit[j].bit_length() - 1)
+        if own:
+            heappush(free, own.bit_length() - 1)
+
+    states = {0: 1}
+    for own, out_keep, in_keep, add, forcing, opened in plan:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for st, c in states.items():
+            s = st & out_keep
+            nxt[s] = get(s, 0) + c
+            if st & own:
+                continue
+            s = st & in_keep | add
+            for need, bit, keep in forcing:
+                if st & need:
+                    s = (s | bit) & keep
+            for blockers, bit in opened:
+                if not s & blockers:
+                    s |= bit
+            nxt[s] = get(s, 0) + c
+        states = nxt
+    return states[0]
 
 
 def _drop_supersets(edges: tuple[int, ...]) -> tuple[int, ...]:
     kept: list[int] = []
-    # sorted by popcount so any container comes after its contents
-    for e in sorted(edges, key=lambda e: e.bit_count()):
-        if not any(e & k == k for k in kept):
-            kept.append(e)
+    by_low: dict[int, list[int]] = {}  # kept edges by their lowest vertex
+    # smaller edges first: distinct edges of one size never nest, and an
+    # edge inside e has its lowest vertex in e
+    for _, group in groupby(sorted(edges, key=int.bit_count), int.bit_count):
+        fresh = [e for e in group if not any(
+            e & k == k for v in _bits(e) for k in by_low.get(v, ()))]
+        for e in fresh:
+            by_low.setdefault(e & -e, []).append(e)
+        kept += fresh
     return tuple(sorted(kept))
 
 
-def _components(edges: list[int] | tuple[int, ...]
-                ) -> list[tuple[int, list[int]]]:
-    """Connected components of the edges as (vertex mask, edges) pairs."""
-    comps = []
-    rest = edges
-    while rest:
-        cmask = rest[0]
-        cedges: list[int] = []
-        # sweep the rest until a pass adds nothing
-        while True:
-            found = len(cedges)
-            left = []
-            for e in rest:
-                if e & cmask:
-                    cmask |= e
-                    cedges.append(e)
-                else:
-                    left.append(e)
-            rest = left
-            if len(cedges) == found or not rest:
-                break
-        comps.append((cmask, cedges))
-    return comps
+def _bits(mask: int):
+    """The one-bit masks of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def count_auto(g: Hypergraph, threshold: int = 20, caps: Caps = Caps()) -> int:
-    """Brute force below the threshold, branch-and-reduce at or above it."""
+    """Brute force below the threshold, ``count_branch`` at or above it."""
     return count_brute(g, caps) if g.n < threshold else count_branch(g)
 
 

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from hyperind import (Caps, CapacityError, Hypergraph, InvalidArgumentError,
-                      build_hrd, build_matching, disjoint_union,
-                      joint_distribution)
+                      build_complete_r_partite, build_hrd, build_matching,
+                      build_transversal_design_3, disjoint_union,
+                      joint_distribution, random_quasi_bipartite)
 from hyperind import counting
 from hyperind.counting import (count, count_auto, count_branch, count_brute,
                                ind_hrd_formula, independent_set_masks)
@@ -15,6 +16,114 @@ from conftest import brute_count, random_hypergraph
 
 def cycle(n):
     return Hypergraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n):
+    return Hypergraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def grid(rows, cols):
+    def at(i, j):
+        return i * cols + j
+    return Hypergraph(rows * cols,
+                      [(at(i, j), at(i, j + 1))
+                       for i in range(rows) for j in range(cols - 1)]
+                      + [(at(i, j), at(i + 1, j))
+                         for i in range(rows - 1) for j in range(cols)])
+
+
+def reference_count_branch(g):
+    """The recursive branch-and-reduce counter that ``count_branch``
+    replaced, kept as an exact reference above ``count_brute``'s cap.
+
+    It splits the constraints ("not all of e selected") into connected
+    components, branches on a maximum-degree vertex of each (the included
+    branch forces out the vertex of any edge shrunk to one vertex and drops
+    the edges that now hold a shrunk one), and caches component counts for
+    the call under the component's edges shifted down to vertex 0.  It
+    recurses once per level, so it is for inputs of modest depth only.
+    """
+    return _reference_count(_reference_drop_supersets(g.edge_masks), g.n, {})
+
+
+def _reference_count(edges, nv, cache):
+    result = 1
+    for cmask, cedges in _reference_components(edges):
+        k = cmask.bit_count()
+        nv -= k
+        if len(cedges) == 1:
+            result *= (1 << k) - 1
+            continue
+        shift = (cmask & -cmask).bit_length() - 1
+        key = tuple(sorted([e >> shift for e in cedges]))
+        c = cache.get(key)
+        if c is None:
+            pivot = _reference_pivot(cedges)
+            excluded = [e for e in cedges if not e & pivot]
+            shrunk = []
+            forced = touched = 0
+            for e in cedges:
+                if e & pivot:
+                    e ^= pivot
+                    if e & (e - 1):
+                        shrunk.append(e)
+                        touched |= e
+                    else:
+                        forced |= e
+            included = shrunk + [
+                e for e in excluded if not e & forced and not (
+                    e & touched and any(e & s == s for s in shrunk))]
+            c = (_reference_count(excluded, k - 1, cache)
+                 + _reference_count(included, k - 1 - forced.bit_count(),
+                                    cache))
+            cache[key] = c
+        result *= c
+    return result << nv
+
+
+def _reference_pivot(edges):
+    """The bit of a maximum-degree vertex, the smallest on ties."""
+    levels = []  # levels[i]: the vertices of degree > i so far
+    for e in edges:
+        for i, level in enumerate(levels):
+            levels[i] = level | e
+            e &= level
+            if not e:
+                break
+        else:
+            levels.append(e)
+    top = levels[-1]
+    return top & -top
+
+
+def _reference_drop_supersets(edges):
+    kept = []
+    for e in sorted(edges, key=lambda e: e.bit_count()):
+        if not any(e & k == k for k in kept):
+            kept.append(e)
+    return tuple(sorted(kept))
+
+
+def _reference_components(edges):
+    comps = []
+    rest = edges
+    while rest:
+        cmask = rest[0]
+        cedges = []
+        while True:
+            found = len(cedges)
+            left = []
+            for e in rest:
+                if e & cmask:
+                    cmask |= e
+                    cedges.append(e)
+                else:
+                    left.append(e)
+            rest = left
+            if len(cedges) == found or not rest:
+                break
+        comps.append((cmask, cedges))
+    return comps
 
 
 class TestFormula:
@@ -140,8 +249,8 @@ class TestBranch:
                 assert count_branch(g) == count_brute(g), g
 
     def test_dense_uniform_against_brute(self, rng):
-        # n..2n edges on 16-18 vertices put many distinct components
-        # in one call's cache, so a key that loses a vertex gives wrong counts
+        # n..2n edges on 16-18 vertices give wide frontiers with many
+        # distinct states, so a state that loses a vertex gives wrong counts
         for r in (3, 4):
             for n in (16, 17, 18):
                 pool = list(itertools.combinations(range(n), r))
@@ -156,10 +265,20 @@ class TestBranch:
         for n in range(3, 301):
             assert count_branch(cycle(n)) == lucas[n], n
 
+    def test_long_cycles_and_paths(self):
+        # far deeper than the default recursion limit of 1000
+        lucas = [2, 1]
+        while len(lucas) <= 5003:
+            lucas.append(lucas[-1] + lucas[-2])
+        for n in (2000, 5000):
+            assert count_branch(cycle(n)) == lucas[n], n
+        # P_n has F_(n+2) independent sets, and F_k = (L_(k-1) + L_(k+1)) / 5
+        assert count_branch(path(5000)) == (lucas[5001] + lucas[5003]) // 5
+
     def test_relabeled_unions_of_repeated_blocks(self, rng):
         # copies of one block are translates of each other, so the union as
-        # built hits the shifted cache key; the relabeled union must give
-        # the same count without those hits
+        # built repeats one block's steps; the relabeled union interleaves
+        # them and must give the same count
         for _ in range(6):
             target = rng.randint(40, 60)
             blocks = [mixed_hypergraph(rng.randint(4, 10), rng, max_size=3)] * 3
@@ -178,6 +297,42 @@ class TestBranch:
         g, _ = build_hrd(3, 2)
         big = disjoint_union([g] * 10)
         assert count_branch(big) == 43 ** 10
+
+
+class TestBranchAgainstReference:
+    """``count_branch`` against the recursive brancher it replaced, on
+    inputs beyond ``count_brute``'s cap."""
+
+    def test_relabeled_quasi_bipartite(self, rng):
+        shapes = ([(3, 2, num_a) for num_a in range(11, 21)]
+                  + [(4, 2, 9), (4, 2, 9), (3, 3, 12)])
+        for r, d, num_a in shapes:
+            g = relabel(random_quasi_bipartite(r, d, num_a, rng), rng)
+            assert count_branch(g) == reference_count_branch(g), (r, d, g)
+
+    def test_grids(self):
+        for side in (6, 8):
+            g = grid(side, side)
+            assert count_branch(g) == reference_count_branch(g), side
+
+
+class TestDenseCollapse:
+    """On dense inputs the forced-out set F keeps the states few: with
+    one vertex of a part in, every vertex it shares an edge with is out."""
+
+    def test_complete_bipartite(self):
+        for t in (10, 20, 30):
+            g = build_complete_r_partite(2, t)
+            assert count_branch(g) == (2 ** t) ** 2 - (2 ** t - 1) ** 2, t
+
+    def test_complete_3_partite(self):
+        t = 8
+        g = build_complete_r_partite(3, t)
+        assert count_branch(g) == (2 ** t) ** 3 - (2 ** t - 1) ** 3
+
+    def test_transversal_design(self):
+        g = build_transversal_design_3(6)
+        assert count_branch(g) == count_brute(g)
 
 
 class TestProperties:
