@@ -12,7 +12,6 @@ violation; 2 usage, parse, or capacity errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -175,6 +174,8 @@ def _cmd_enumerate(args, caps: Caps) -> int:
     # up to isomorphism, each class is checked once, after the merge
     check = args.check_conjecture and not args.up_to_iso
     if args.workers > 1 and spec.feasible and spec.num_edges > 0:
+        import concurrent.futures  # only a parallel run pays for the pool
+
         chunks = [_Chunk(replace(spec, prefix=(e,)), check, keep)
                   for e in first_edge_choices(spec)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:

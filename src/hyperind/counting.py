@@ -19,6 +19,9 @@ and ``"branch"`` run those routes.
 
 ``count_brute`` is the independent oracle: ``count_branch`` is validated
 against it, never the other way around.
+
+numpy is imported inside ``independent_set_masks`` alone, the proof
+checker's enumerator, so a process that only counts never loads it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import groupby
-
-import numpy as np
 
 from .core import Caps, Hypergraph, vertices_of
 from .errors import CapacityError, InvalidArgumentError
@@ -107,6 +108,8 @@ def independent_set_masks(g: Hypergraph, within: int | None = None) -> np.ndarra
     vertices of ``within``, one contiguous run of vertices per shift.
     ``joint_distribution``, its caller, caps n.
     """
+    import numpy as np
+
     if within is None:
         within = (1 << g.n) - 1
     verts = vertices_of(within)

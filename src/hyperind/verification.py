@@ -20,7 +20,9 @@ with weight 1 each, the exhaustive table the tests hold the checker to.
 A marginal projects the configurations onto a vertex subset and sums their
 weights exactly in int64 (a stable sort, then ``np.add.reduceat``), so no
 Python loop runs over the configurations.  Counts leave the arrays as
-Python ints before they reach an entropy sum or a report.
+Python ints before they reach an entropy sum or a report.  numpy is imported
+inside the proof checker's functions, not at module level, so conjecture
+checks and comparisons run without loading it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log2
 from typing import Iterable
-
-import numpy as np
 
 from .constructions import build_complete_r_partite, build_hrd, \
     build_transversal_design_3
@@ -194,6 +194,8 @@ class SubsetDistribution:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubsetDistribution):
             return NotImplemented
+        import numpy as np
+
         return (self.domain == other.domain and self.total == other.total
                 and np.array_equal(self.configs, other.configs)
                 and np.array_equal(self.counts, other.counts))
@@ -235,6 +237,8 @@ def joint_distribution(g: Hypergraph, caps: Caps = Caps(),
                 f"{outside.bit_count()} vertices; at most one is allowed")
         if outside:
             blockers.setdefault(outside, []).append(em ^ outside)
+    import numpy as np
+
     configs = independent_set_masks(g, onto)
     blocked = np.zeros(len(configs), dtype=np.int64)
     for rests in blockers.values():
@@ -246,6 +250,8 @@ def joint_distribution(g: Hypergraph, caps: Caps = Caps(),
 
 def _contains_any(configs: np.ndarray, masks: Iterable[int]) -> np.ndarray:
     """Per configuration, whether it holds all of at least one of masks."""
+    import numpy as np
+
     hit = np.zeros(len(configs), dtype=bool)
     for m in masks:
         hit |= (configs & np.uint64(m)) == m
@@ -258,6 +264,8 @@ def _project(configs: np.ndarray, counts: np.ndarray,
     integer weights: a stable sort, then one int64 ``np.add.reduceat`` over
     each run of equal values.  The sums are exact, and nothing is larger
     than the input."""
+    import numpy as np
+
     keys = configs & np.uint64(smask)
     order = np.argsort(keys, kind="stable")
     keys, counts = keys[order], counts[order]
@@ -286,6 +294,8 @@ def _add_a_vertex(dist_b: SubsetDistribution, a: int,
     keeps its weight.  Otherwise a is one of J's f(J) free vertices, and the
     weight splits evenly between J and J + a.
     """
+    import numpy as np
+
     abit = np.uint64(1 << a)
     free = ~_contains_any(dist_b.configs, (mask_of(e) for e in link))
     configs = np.concatenate((dist_b.configs, dist_b.configs[free] | abit))
@@ -378,6 +388,8 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
     7. link bound (exact): ind(L(a)) <= (2^(r-1) - 1)^d;
     8. final: H(X) <= (n/rd) log2 ind(H(r,d)).
     """
+    import numpy as np
+
     r, d = infer_uniform_regular(g)
     cert = quasi_bipartition(g)
     if cert is None:

@@ -269,3 +269,59 @@ class TestWorkersFlag:
         assert code == 2
         assert out == ""
         assert "--workers" in err
+
+
+class TestImports:
+    def test_numpy_and_pool_load_only_when_needed(self, tmp_path):
+        # pytest's own process has numpy loaded already, so the check runs
+        # in a fresh interpreter
+        script = tmp_path / "imports.py"
+        script.write_text(IMPORTS_SCRIPT)
+        hg = tmp_path / "h32.hg"
+        hg.write_text("6\n0 2 3\n0 4 5\n1 2 3\n1 4 5\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("HYPERIND_CAPS", None)
+        proc = subprocess.run([sys.executable, str(script), str(hg)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (proc.stdout, proc.stderr)
+        assert proc.stdout == "ok\n"
+
+
+IMPORTS_SCRIPT = """\
+import contextlib
+import io
+import json
+import sys
+
+import hyperind
+from hyperind.cli import main
+
+LAZY = ("numpy", "concurrent.futures")
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+
+hg = sys.argv[1]
+sweep = ["enumerate", "--r", "2", "--d", "2", "--n", "6",
+         "--check-conjecture", "--workers", "1"]
+for argv in (["count", hg], ["count", hg, "--method", "branch"],
+             ["check-conjecture", hg], ["check-conjecture", hg, "--json"],
+             ["construct", "hrd", "--r", "3", "--d", "2"],
+             ["compare", "--r", "3", "--t", "2", "--json"],
+             sweep, sweep + ["--up-to-iso"]):
+    run(argv)
+    loaded = [m for m in LAZY if m in sys.modules]
+    assert not loaded, (argv, loaded)
+
+report = json.loads(run(["verify-proof", hg, "--json"]))
+assert report["all_passed"] is True
+assert "numpy" in sys.modules
+print("ok")
+"""
