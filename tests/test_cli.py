@@ -281,7 +281,6 @@ class TestImports:
         hg.write_text("6\n0 2 3\n0 4 5\n1 2 3\n1 4 5\n")
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        env.pop("HYPERIND_CAPS", None)
         proc = subprocess.run([sys.executable, str(script), str(hg)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, (proc.stdout, proc.stderr)
