@@ -10,6 +10,13 @@ sorted candidate list, skipping those that touch a full vertex.  A graph is
 emitted once it has n*d/r edges.  Emission order is the lexicographic order
 of the sorted edge lists, and deterministic.  The search tree can be
 partitioned by first-edge prefix for work-splitting.
+
+The last edge is forced.  With n*d/r - 1 edges chosen the residual degrees
+sum to r, so a graph completes only when exactly r vertices each need one
+more edge, and those r vertices are the last edge.  The search looks their
+mask up in a mask -> candidate index table built once per run and accepts it
+when its index is past the previous edge's; no candidates are scanned at
+the deepest level, where most search nodes lie.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ def enumerate_regular(spec: EnumSpec,
         return 0
     candidates = list(itertools.combinations(range(spec.n), spec.r))
     masks = [core.mask_of(e) for e in candidates]
+    index = {mask: j for j, mask in enumerate(masks)}
+    everyone = (1 << spec.n) - 1
     m = spec.num_edges
 
     # candidates[block[v]:block[v + 1]] are the edges whose smallest vertex is v
@@ -94,21 +103,31 @@ def enumerate_regular(spec: EnumSpec,
     seen_canon: set[Hypergraph] = set()
     emitted = 0
 
-    def rec(i: int, full: int) -> None:
+    def emit() -> None:
         nonlocal emitted
-        if len(chosen) == m:
-            # m edges carry all n*d incidences, so every residual is 0
-            # chosen holds distinct candidates in increasing lex order
-            g = Hypergraph._from_normalized(spec.n, tuple(chosen))
-            if spec.up_to_iso:
-                canon = canonical_form(g, spec.caps)
-                if canon in seen_canon:
-                    return
-                seen_canon.add(canon)
-                g = canon
-            emitted += 1
-            if visit is not None:
-                visit(g)
+        # m edges carry all n*d incidences, so every degree is d
+        # chosen holds distinct candidates in increasing lex order
+        g = Hypergraph._from_normalized(spec.n, tuple(chosen))
+        if spec.up_to_iso:
+            canon = canonical_form(g, spec.caps)
+            if canon in seen_canon:
+                return
+            seen_canon.add(canon)
+            g = canon
+        emitted += 1
+        if visit is not None:
+            visit(g)
+
+    def rec(i: int, full: int) -> None:
+        # fewer than m edges are chosen
+        if len(chosen) == m - 1:
+            # the residuals sum to r: the vertices not yet full must be
+            # exactly the last edge, and it must come after the previous one
+            j = index.get(everyone & ~full, -1)
+            if j >= i:
+                chosen.append(candidates[j])
+                emit()
+                chosen.pop()
             return
         # every vertex below v is full, so the next edge starts at v
         v = (~full & (full + 1)).bit_length() - 1
@@ -127,7 +146,10 @@ def enumerate_regular(spec: EnumSpec,
             for u in e:
                 residual[u] += 1
 
-    rec(start, core.mask_of(v for v in range(spec.n) if residual[v] == 0))
+    if len(chosen) == m:
+        emit()
+    else:
+        rec(start, core.mask_of(v for v in range(spec.n) if residual[v] == 0))
     return emitted
 
 

@@ -21,7 +21,6 @@ def write_hypergraph(g: Hypergraph) -> str:
 def read_hypergraph(text: str) -> Hypergraph:
     lines = text.split("\n")
     n = None
-    header_line = None
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for lineno, raw in enumerate(lines, start=1):
@@ -35,7 +34,6 @@ def read_hypergraph(text: str) -> Hypergraph:
                 raise ParseError(f"expected vertex count, got {line!r}", lineno)
             if n < 0:
                 raise ParseError(f"vertex count must be >= 0, got {n}", lineno)
-            header_line = lineno
             continue
         try:
             verts = tuple(int(tok) for tok in line.split())

@@ -144,6 +144,66 @@ class TestEmissionOrder:
         assert got == reference_emissions(spec)
 
 
+def _fits(prefix, n, d):
+    degree = [0] * n
+    for e in prefix:
+        for v in e:
+            degree[v] += 1
+    return max(degree, default=0) <= d
+
+
+class TestForcedLastEdge:
+    """The deepest level looks the last edge up instead of scanning; these
+    prefixes start the search at or next to that level."""
+
+    SPECS = [(2, 1, 6), (2, 2, 5), (2, 2, 6), (3, 2, 6), (2, 3, 6), (4, 2, 6)]
+
+    def test_every_prefix_of_m_minus_1_edges(self):
+        emitted = 0
+        for r, d, n in self.SPECS:
+            m = EnumSpec(r=r, d=d, n=n).num_edges
+            candidates = list(itertools.combinations(range(n), r))
+            for prefix in itertools.combinations(candidates, m - 1):
+                if not _fits(prefix, n, d):
+                    continue
+                spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
+                got = collect(spec)
+                assert got == reference_emissions(spec), prefix
+                assert len(got) <= 1
+                emitted += len(got)
+        # each labeled graph completes exactly one prefix of its first m - 1 edges
+        assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
+                              for r, d, n in self.SPECS)
+
+    def test_prefix_of_m_edges(self):
+        for r, d, n in self.SPECS:
+            for g in collect(EnumSpec(r=r, d=d, n=n)):
+                spec = EnumSpec(r=r, d=d, n=n, prefix=g.edges)
+                assert collect(spec) == reference_emissions(spec) == [g]
+
+    def test_single_edge_specs(self):
+        for r in range(1, 7):
+            spec = EnumSpec(r=r, d=1, n=r)
+            assert spec.num_edges == 1
+            assert collect(spec) == reference_emissions(spec) \
+                == [Hypergraph(r, [range(r)])]
+            spec = EnumSpec(r=r, d=1, n=r, up_to_iso=True)
+            assert collect(spec) == reference_emissions(spec)
+
+    def test_complement_not_a_later_edge(self):
+        for n, d, prefix in [
+                # vertices 2 and 3 still need an edge, but (2, 3) < (3, 4)
+                (5, 2, ((0, 1), (0, 2), (1, 4), (3, 4))),
+                # vertex 3 needs two more edges and there is one left to add
+                (4, 2, ((0, 1), (0, 2), (1, 2))),
+                # the open vertices 0 and 3 close a 4-cycle behind its last edge
+                (4, 2, ((0, 1), (1, 2), (2, 3)))]:
+            spec = EnumSpec(r=2, d=d, n=n, prefix=prefix)
+            assert len(prefix) == spec.num_edges - 1
+            assert collect(spec) == reference_emissions(spec) == []
+            assert enumerate_regular(spec) == 0
+
+
 class TestUpToIso:
     def test_two_regular_on_5_single_class(self):
         got = collect(EnumSpec(r=2, d=2, n=5, up_to_iso=True))

@@ -4,14 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from hyperind import (Caps, CapacityError, Hypergraph, InvalidArgumentError,
-                      build_hrd, build_transversal_design_3, check_conjecture,
+from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
+                      InvalidArgumentError, build_hrd,
+                      build_transversal_design_3, check_conjecture,
                       compare_constructions, disjoint_union, entropy,
+                      enumerate_regular,
                       joint_distribution, marginal, mask_of, quasi_bipartition,
                       random_quasi_bipartite, verify_proof_steps, vertices_of)
 from hyperind.counting import count_brute, ind_hrd_formula
-from hyperind.verification import (PROOF_EPS, ProofStep, ProofStepReport,
-                                   SubsetDistribution, _binary_entropy,
+from hyperind.verification import (PROOF_EPS, ConjectureVerdict, ProofStep,
+                                   ProofStepReport, SubsetDistribution,
+                                   _binary_entropy,
                                    _tighter, infer_uniform_regular,
                                    is_union_of_kdd)
 
@@ -67,6 +70,165 @@ class TestCheckConjecture:
         for method in ("auto", "brute", "branch"):
             v = check_conjecture(g, method=method)
             assert v.equality
+
+
+def reference_infer_uniform_regular(g):
+    """Inference as it ran before its degree check moved into ``list.count``:
+    the edge-size and degree loops alone."""
+    if not g.edges:
+        raise InvalidArgumentError("hypergraph has no edges (degree d = 0 is rejected)")
+    r = len(g.edges[0])
+    for e in g.edges:
+        if len(e) != r:
+            raise InvalidArgumentError(
+                f"not uniform: edge {e} has size {len(e)}, expected {r}")
+    if r < 2:
+        raise InvalidArgumentError("uniformity r must be >= 2")
+    degs = g.degrees()
+    d = degs[0] if g.n else 0
+    for v, dv in enumerate(degs):
+        if dv != d:
+            raise InvalidArgumentError(
+                f"not regular: vertex {v} has degree {dv}, vertex 0 has degree {d}")
+    if d < 1:
+        raise InvalidArgumentError("degree d must be >= 1")
+    return r, d
+
+
+def _outcome(infer, g):
+    try:
+        return infer(g)
+    except InvalidArgumentError as exc:
+        return type(exc), str(exc)
+
+
+def _regular_graphs():
+    graphs = []
+    for r, d, n in [(2, 1, 6), (2, 2, 6), (2, 3, 6), (3, 1, 9), (3, 2, 6),
+                    (4, 2, 8)]:
+        enumerate_regular(EnumSpec(r=r, d=d, n=n), graphs.append)
+    return graphs
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Hypergraph(g.n, [[perm[v] for v in e] for e in g.edges])
+
+
+def _perturb(g, rng):
+    """A near miss of the regular uniform g (or g itself)."""
+    edges = [list(e) for e in g.edges]
+    kind = rng.randrange(7)
+    if kind == 0:  # drop an edge
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == 1:  # an edge of another size
+        size = rng.choice([k for k in range(1, g.n + 1) if k != len(edges[0])])
+        edges.append(rng.sample(range(g.n), size))
+    elif kind == 2:  # an isolated vertex
+        return Hypergraph(g.n + 1, edges)
+    elif kind == 3:  # move one incidence: degrees d+1 and d-1 sum to n*d
+        e = edges[rng.randrange(len(edges))]
+        outside = [v for v in range(g.n) if v not in e]
+        if outside:
+            e[rng.randrange(len(e))] = rng.choice(outside)
+    elif kind == 4:  # r = 1: every vertex its own edge
+        return Hypergraph(g.n, [(v,) for v in range(g.n)])
+    elif kind == 5:  # no edges
+        return Hypergraph(g.n)
+    return Hypergraph(g.n, edges)
+
+
+class TestInferUniformRegular:
+    """The same (r, d), or the same error naming the same offender, as the
+    reference loops."""
+
+    def test_random_regular_and_near_misses(self):
+        rng = random.Random(20261018)
+        regular = _regular_graphs()
+        accepted = rejected = 0
+        for _ in range(3000):
+            g = _perturb(_relabel(rng.choice(regular), rng), rng)
+            got = _outcome(infer_uniform_regular, g)
+            assert got == _outcome(reference_infer_uniform_regular, g), g
+            if isinstance(got[0], int):
+                accepted += 1
+            else:
+                rejected += 1
+        assert accepted > 300 and rejected > 1500
+
+    def test_random_mixed_sizes(self):
+        rng = random.Random(20261019)
+        for _ in range(500):
+            g = _mixed_hypergraph(rng.randint(1, 9), rng)
+            assert _outcome(infer_uniform_regular, g) == \
+                _outcome(reference_infer_uniform_regular, g), g
+
+    def test_named_cases(self):
+        cases = [
+            Hypergraph(0), Hypergraph(3), Hypergraph(1, [(0,)]),
+            Hypergraph(3, [(0,), (1,), (2,)]),  # r = 1, 1-regular
+            Hypergraph(4, [(0, 1), (2, 3)]),  # a perfect matching
+            Hypergraph(5, [(0, 1), (2, 3)]),  # and an isolated vertex
+            # mixed sizes whose degrees are all 1
+            Hypergraph(5, [(0, 1), (2, 3, 4)]),
+            # n*d incidences, degrees 3 and 1 where 2 was due
+            Hypergraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),
+            # uniform and regular except that vertex 0 repeats nothing
+            Hypergraph(6, [(0, 1, 2), (3, 4, 5), (0, 3, 4), (1, 2, 5)]),
+            build_hrd(3, 2)[0], cycle(7), complete_graph(5),
+        ]
+        for g in cases:
+            assert _outcome(infer_uniform_regular, g) == \
+                _outcome(reference_infer_uniform_regular, g), g
+        assert infer_uniform_regular(build_hrd(3, 2)[0]) == (3, 2)
+
+
+def _direct_verdict(g, r, d):
+    ind = count_brute(g)
+    lhs = ind ** (r * d)
+    rhs = ind_hrd_formula(r, d) ** g.n
+    slack = (math.log2(rhs) - math.log2(lhs)) / (r * d)
+    return ConjectureVerdict(holds=lhs <= rhs, equality=lhs == rhs, r=r, d=d,
+                             n=g.n, ind_g=ind, lhs=lhs, rhs=rhs,
+                             slack_bits=slack)
+
+
+class TestMemoisedVerdict:
+    # the labeled sweep ranges of the conjecture hunt, up to n = 8
+    RANGES = [(2, 1, 8), (2, 2, 8), (2, 3, 8), (3, 1, 8), (3, 2, 6)]
+
+    def test_every_sweep_graph_equals_direct_recomputation(self):
+        checked = 0
+        for r, d, n_max in self.RANGES:
+            for n in range(r, n_max + 1):
+                def visit(g, r=r, d=d):
+                    nonlocal checked
+                    got = check_conjecture(g)
+                    want = _direct_verdict(g, r, d)
+                    assert got == want, g
+                    assert got.slack_bits.hex() == want.slack_bits.hex(), g
+                    checked += 1
+
+                enumerate_regular(EnumSpec(r=r, d=d, n=n), visit)
+        assert checked == 23694
+
+    def test_equal_counts_at_different_n(self):
+        c4 = cycle(4)  # r = 2, d = 2, n = 4
+        triple = Hypergraph(3, [(0, 1, 2)])  # r = 3, d = 1, n = 3
+        a, b = check_conjecture(c4), check_conjecture(triple)
+        assert a.ind_g == b.ind_g == 7
+        assert (a.r, a.d, a.n, a.rhs) == (2, 2, 4, 7 ** 4)
+        assert (b.r, b.d, b.n, b.rhs) == (3, 1, 3, 7 ** 3)
+        assert a == _direct_verdict(c4, 2, 2)
+        assert b == _direct_verdict(triple, 3, 1)
+        assert a.equality and b.equality and a != b
+
+    def test_equal_keys_share_one_verdict(self):
+        g = cycle(6)
+        relabeled = Hypergraph(6, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)])
+        assert check_conjecture(g) is check_conjecture(relabeled)
+        assert check_conjecture(g, method="branch") is check_conjecture(g)
 
 
 class TestIsUnionOfKdd:
