@@ -17,6 +17,12 @@ is read from them, and no array of 2^n or ind(G) entries is built.  With
 ``onto`` left at every vertex the same code lists the independent sets
 with weight 1 each, the exhaustive table the tests hold the checker to.
 
+The same factorisation serves each A-vertex a.  Whether a is free in J
+depends on J & V(L(a)) alone, so X_{a} u X_{V(L(a))} is read from the span
+marginal of X_B, and H(X_a, X_B) from that marginal's free weight: no
+{a} u B table is built.  Every B-side weight is a power of two, so the
+entropy sums of X_B and of X_{a} u X_B are exact integer sums of k 2^k.
+
 A marginal projects the configurations onto a vertex subset and sums their
 weights exactly in int64 (a stable sort, then ``np.add.reduceat``), so no
 Python loop runs over the configurations.  Counts leave the arrays as
@@ -298,34 +304,68 @@ def marginal(dist: SubsetDistribution,
                               total=dist.total)
 
 
-def _add_a_vertex(dist_b: SubsetDistribution, a: int,
-                  link: Iterable[Iterable[int]]) -> SubsetDistribution:
-    """The distribution of X_{a} u X_B from the B-side weights 2^f(J).
+def _a_vertex_marginals(dist_b: SubsetDistribution, b_sum: int, a: int,
+                        span_mask: int, link: Iterable[Iterable[int]]
+                        ) -> tuple[SubsetDistribution, SubsetDistribution,
+                                   float]:
+    """For one A-vertex a: the span marginal m of X_B, the X_{a} u X_span
+    marginal and H(X_a, X_B), all read from m.
 
     Vertex a is blocked in J when an edge of its link lies inside J, and J
-    keeps its weight.  Otherwise a is one of J's f(J) free vertices, and the
-    weight splits evenly between J and J + a.
+    keeps its weight 2^f(J).  Otherwise a is one of J's f(J) free vertices,
+    and the weight splits evenly between J and J + a.  Whether a is free
+    depends on s = J & span only, so the X_{a} u X_span weights are m(s)/2 on
+    s and on s + a when s is free, and m(s) on s otherwise.  The X_{a} u X_B
+    weights are 2^f(J) and 2^(f(J)-1), so their sum of w log2 w is
+    ``b_sum`` (the sum over X_B, see ``_power_sum``) less the free weight
+    W = sum of m(s) over free s, an exact integer.  This equals ``entropy``
+    of the X_{a} u X_B table bit for bit while that sum is below 2^53, as it
+    is whenever ind(G) |A| < 2^53; past that it is the more accurate value.
     """
     import numpy as np
 
-    abit = np.uint64(1 << a)
-    free = ~_contains_any(dist_b.configs, (mask_of(e) for e in link))
-    configs = np.concatenate((dist_b.configs, dist_b.configs[free] | abit))
-    counts = np.concatenate((np.where(free, dist_b.counts >> 1, dist_b.counts),
-                             dist_b.counts[free] >> 1))
+    span = marginal(dist_b, span_mask)
+    free = ~_contains_any(span.configs, (mask_of(e) for e in link))
+    configs = np.concatenate((span.configs,
+                              span.configs[free] | np.uint64(1 << a)))
+    counts = np.concatenate((np.where(free, span.counts >> 1, span.counts),
+                             span.counts[free] >> 1))
     order = np.argsort(configs, kind="stable")
-    return SubsetDistribution(domain=dist_b.domain | (1 << a),
-                              configs=configs[order], counts=counts[order],
-                              total=dist_b.total)
+    a_span = SubsetDistribution(domain=span_mask | (1 << a),
+                                configs=configs[order], counts=counts[order],
+                                total=span.total)
+    w_free = int(span.counts[free].sum())
+    h_a_b = log2(dist_b.total) - float(b_sum - w_free) / dist_b.total
+    return span, a_span, h_a_b
+
+
+def _power_sum(counts: np.ndarray) -> int | None:
+    """The exact sum of k 2^k over the counts above 1 when each is a power of
+    two 2^k, else None.  k is read from the float64 exponent, which is exact
+    for every int64 power of two."""
+    import numpy as np
+
+    w = counts[counts > 1]
+    if (w & (w - 1)).any():
+        return None
+    per_k = np.bincount(np.frexp(w)[1] - 1).tolist()  # 2^k = 0.5 * 2^(k+1)
+    return sum(k * c << k for k, c in enumerate(per_k))
 
 
 def entropy(dist: SubsetDistribution) -> float:
     """Shannon entropy in bits: log2(total) - (1/total) * sum w*log2(w).
 
-    The sum runs over Python ints in increasing order of configuration, one
-    float addition at a time, so the result does not depend on numpy's
-    summation order.
+    In general the sum runs over Python ints in increasing order of
+    configuration, one float addition at a time, so the result does not
+    depend on numpy's summation order.  When every weight is a power of two
+    2^k (as on the B side, where each weight is 2^f(J)) the sum is the exact
+    integer sum of k 2^k instead.  While that is below 2^53 every partial
+    sum of the loop is an exact integer too, so both give the same float;
+    above it, or with any other weight, the loop runs.
     """
+    s = _power_sum(dist.counts)
+    if s is not None and s < 1 << 53:
+        return log2(dist.total) - float(s) / dist.total
     acc = 0.0
     for w in dist.counts[dist.counts > 1].tolist():
         acc += w * log2(w)
@@ -418,16 +458,18 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
 
     span_masks = {a: mask_of(v for e in cert.link_matchings[a] for v in e)
                   for a in a_side}
-    # per a: the span marginal, and X_{a} u X_span from X_{a} u X_B; each
-    # distinct marginal's entropy is computed once and the steps reuse it
-    entropies = {b_mask: entropy(dist_b), a_mask | b_mask: h_x}
+    # per a: the span marginal, X_{a} u X_span and H(X_a, X_B), from one
+    # projection of X_B; each distinct marginal's entropy is computed once
+    # and the steps reuse it
+    b_sum = _power_sum(dist_b.counts)  # exact: every weight is 2^f(J)
+    entropies = {b_mask: h_x - float(b_sum) / ind_g, a_mask | b_mask: h_x}
     span_margs: dict[int, SubsetDistribution] = {}
     a_span_margs: dict[int, SubsetDistribution] = {}
     for a in a_side:
-        a_and_b = _add_a_vertex(dist_b, a, cert.link_matchings[a])
-        span_margs[a] = marginal(dist_b, span_masks[a])
-        a_span_margs[a] = marginal(a_and_b, (1 << a) | span_masks[a])
-        for m in (a_and_b, span_margs[a], a_span_margs[a]):
+        span_margs[a], a_span_margs[a], h_a_b = _a_vertex_marginals(
+            dist_b, b_sum, a, span_masks[a], cert.link_matchings[a])
+        entropies.setdefault((1 << a) | b_mask, h_a_b)
+        for m in (span_margs[a], a_span_margs[a]):
             if m.domain not in entropies:
                 entropies[m.domain] = entropy(m)
     h = entropies.__getitem__

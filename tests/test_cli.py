@@ -2,13 +2,15 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hyperind import cli, write_hypergraph
+from hyperind import (build_hrd, cli, random_quasi_bipartite,
+                      write_hypergraph)
 from hyperind.cli import main
 
 
@@ -107,6 +109,187 @@ class TestVerifyProof:
                            stdin=hg, monkeypatch=monkeypatch)
         assert code == 2
         assert "quasi-bipartite" in err
+
+
+#: ``verify-proof`` output, byte for byte, as the float-loop entropy gave it
+#: before the checker summed powers of two exactly; keyed by the
+#: ``random_quasi_bipartite(r, d, num_a, Random(seed))`` arguments, or None
+#: for H(3,2).  The instances hold margins of a few ulps that any change to
+#: an entropy sum would move.
+GOLDEN_PROOFS = {
+    None: (
+        'r=3 d=2 n=6  ind(G)=43\n'
+        'log2 ind(G) = 5.4262647547021  bound = 5.4262647547021\n'
+        'cover-validity: lhs=2 rhs=2 margin=0 PASS\n'
+        'shearer: lhs=3.75184615005093 rhs=3.75184615005093 margin=0 PASS\n'
+        'subadditivity: lhs=1.67441860465116 rhs=1.67441860465116 '
+        'margin=8.88178419700125e-16 PASS\n'
+        'conditioning-reduction: lhs=0 rhs=0 margin=0 PASS\n'
+        'lambda-bound: lhs=1 rhs=1 margin=0 PASS\n'
+        'jensen: lhs=5.4262647547021 rhs=5.4262647547021 margin=0 PASS\n'
+        'counting-bound: lhs=43 rhs=43 margin=0 PASS\n'
+        'link-bound: lhs=9 rhs=9 margin=0 PASS\n'
+        'final-bound: lhs=5.4262647547021 rhs=5.4262647547021 margin=0 PASS\n'
+        'all steps passed\n',
+        '{"r": 3, "d": 2, "n": 6, "ind": "43", "log2_ind": 5.4262647547021, '
+        '"hrd_bound_bits": 5.4262647547021, "steps": [{"name": '
+        '"cover-validity", "lhs": 2.0, "rhs": 2.0, "margin": 0.0, "pass": '
+        'true}, '
+        '{"name": "shearer", "lhs": 3.75184615005093, "rhs": '
+        '3.75184615005093, "margin": 0.0, "pass": true}, '
+        '{"name": "subadditivity", "lhs": 1.67441860465116, "rhs": '
+        '1.67441860465116, "margin": 8.88178419700125e-16, "pass": true}, '
+        '{"name": "conditioning-reduction", "lhs": 0.0, "rhs": 0.0, '
+        '"margin": 0.0, "pass": true}, '
+        '{"name": "lambda-bound", "lhs": 1.0, "rhs": 1.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "jensen", "lhs": 5.4262647547021, "rhs": 5.4262647547021, '
+        '"margin": 0.0, "pass": true}, '
+        '{"name": "counting-bound", "lhs": 43.0, "rhs": 43.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "link-bound", "lhs": 9.0, "rhs": 9.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "final-bound", "lhs": 5.4262647547021, "rhs": '
+        '5.4262647547021, "margin": 0.0, "pass": true}], "findings": [], '
+        '"all_passed": true}\n'
+    ),
+    (3, 2, 5, 1): (
+        'r=3 d=2 n=15  ind(G)=10859\n'
+        'log2 ind(G) = 13.4066036317279  bound = 13.5656618867552\n'
+        'cover-validity: lhs=2 rhs=2 margin=0 PASS\n'
+        'shearer: lhs=9.49445702522636 rhs=9.56861712708046 '
+        'margin=0.0741601018541083 PASS\n'
+        'subadditivity: lhs=3.91214660650152 rhs=3.91214660650152 '
+        'margin=-1.77635683940025e-15 PASS\n'
+        'conditioning-reduction: lhs=1.77635683940025e-15 rhs=0 '
+        'margin=-1.77635683940025e-15 PASS\n'
+        'lambda-bound: lhs=1 rhs=1 margin=0 PASS\n'
+        'jensen: lhs=5.39664250140674 rhs=5.4262647547021 '
+        'margin=0.0296222532953578 PASS\n'
+        'counting-bound: lhs=43 rhs=43 margin=0 PASS\n'
+        'link-bound: lhs=9 rhs=9 margin=0 PASS\n'
+        'final-bound: lhs=13.4066036317279 rhs=13.5656618867552 '
+        'margin=0.159058255027368 PASS\n'
+        'all steps passed\n',
+        '{"r": 3, "d": 2, "n": 15, "ind": "10859", "log2_ind": '
+        '13.4066036317279, "hrd_bound_bits": 13.5656618867552, "steps": '
+        '[{"name": "cover-validity", "lhs": 2.0, "rhs": 2.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "shearer", "lhs": 9.49445702522636, "rhs": '
+        '9.56861712708046, "margin": 0.0741601018541083, "pass": true}, '
+        '{"name": "subadditivity", "lhs": 3.91214660650152, "rhs": '
+        '3.91214660650152, "margin": -1.77635683940025e-15, "pass": true}, '
+        '{"name": "conditioning-reduction", "lhs": 1.77635683940025e-15, '
+        '"rhs": 0.0, "margin": -1.77635683940025e-15, "pass": true}, '
+        '{"name": "lambda-bound", "lhs": 1.0, "rhs": 1.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "jensen", "lhs": 5.39664250140674, "rhs": 5.4262647547021, '
+        '"margin": 0.0296222532953578, "pass": true}, '
+        '{"name": "counting-bound", "lhs": 43.0, "rhs": 43.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "link-bound", "lhs": 9.0, "rhs": 9.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "final-bound", "lhs": 13.4066036317279, "rhs": '
+        '13.5656618867552, "margin": 0.159058255027368, "pass": true}], '
+        '"findings": [], "all_passed": true}\n'
+    ),
+    (2, 3, 7, 2): (
+        'r=2 d=3 n=14  ind(G)=473\n'
+        'log2 ind(G) = 8.88569637333939  bound = 9.11607805641988\n'
+        'cover-validity: lhs=3 rhs=3 margin=0 PASS\n'
+        'shearer: lhs=5.39309595050641 rhs=5.51523534297458 '
+        'margin=0.122139392468171 PASS\n'
+        'subadditivity: lhs=3.49260042283298 rhs=3.49260042283298 '
+        'margin=-4.44089209850063e-15 PASS\n'
+        'conditioning-reduction: lhs=1.77635683940025e-15 rhs=0 '
+        'margin=-1.77635683940025e-15 PASS\n'
+        'lambda-bound: lhs=1 rhs=1 margin=0 PASS\n'
+        'jensen: lhs=3.8714864271095 rhs=3.90689059560852 '
+        'margin=0.0354041684990145 PASS\n'
+        'counting-bound: lhs=15 rhs=15 margin=0 PASS\n'
+        'link-bound: lhs=1 rhs=1 margin=0 PASS\n'
+        'final-bound: lhs=8.88569637333939 rhs=9.11607805641988 '
+        'margin=0.230381683080482 PASS\n'
+        'all steps passed\n',
+        '{"r": 2, "d": 3, "n": 14, "ind": "473", "log2_ind": '
+        '8.88569637333939, "hrd_bound_bits": 9.11607805641988, "steps": '
+        '[{"name": "cover-validity", "lhs": 3.0, "rhs": 3.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "shearer", "lhs": 5.39309595050641, "rhs": '
+        '5.51523534297458, "margin": 0.122139392468171, "pass": true}, '
+        '{"name": "subadditivity", "lhs": 3.49260042283298, "rhs": '
+        '3.49260042283298, "margin": -4.44089209850063e-15, "pass": true}, '
+        '{"name": "conditioning-reduction", "lhs": 1.77635683940025e-15, '
+        '"rhs": 0.0, "margin": -1.77635683940025e-15, "pass": true}, '
+        '{"name": "lambda-bound", "lhs": 1.0, "rhs": 1.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "jensen", "lhs": 3.8714864271095, "rhs": 3.90689059560852, '
+        '"margin": 0.0354041684990145, "pass": true}, '
+        '{"name": "counting-bound", "lhs": 15.0, "rhs": 15.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "link-bound", "lhs": 1.0, "rhs": 1.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "final-bound", "lhs": 8.88569637333939, "rhs": '
+        '9.11607805641988, "margin": 0.230381683080482, "pass": true}], '
+        '"findings": [], "all_passed": true}\n'
+    ),
+    (4, 2, 4, 3): (
+        'r=4 d=2 n=16  ind(G)=41610\n'
+        'log2 ind(G) = 15.3446426679321  bound = 15.4421983774144\n'
+        'cover-validity: lhs=2 rhs=2 margin=0 PASS\n'
+        'shearer: lhs=11.7810762175596 rhs=11.8297550210223 '
+        'margin=0.0486788034627299 PASS\n'
+        'subadditivity: lhs=3.56356645037251 rhs=3.56356645037251 '
+        'margin=1.77635683940025e-15 PASS\n'
+        'conditioning-reduction: lhs=3.5527136788005e-15 rhs=0 '
+        'margin=-3.5527136788005e-15 PASS\n'
+        'lambda-bound: lhs=1 rhs=1 margin=0 PASS\n'
+        'jensen: lhs=7.69920982436131 rhs=7.72109918870718 '
+        'margin=0.0218893643458724 PASS\n'
+        'counting-bound: lhs=211 rhs=211 margin=0 PASS\n'
+        'link-bound: lhs=49 rhs=49 margin=0 PASS\n'
+        'final-bound: lhs=15.3446426679321 rhs=15.4421983774144 '
+        'margin=0.0975557094822488 PASS\n'
+        'all steps passed\n',
+        '{"r": 4, "d": 2, "n": 16, "ind": "41610", "log2_ind": '
+        '15.3446426679321, "hrd_bound_bits": 15.4421983774144, "steps": '
+        '[{"name": "cover-validity", "lhs": 2.0, "rhs": 2.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "shearer", "lhs": 11.7810762175596, "rhs": '
+        '11.8297550210223, "margin": 0.0486788034627299, "pass": true}, '
+        '{"name": "subadditivity", "lhs": 3.56356645037251, "rhs": '
+        '3.56356645037251, "margin": 1.77635683940025e-15, "pass": true}, '
+        '{"name": "conditioning-reduction", "lhs": 3.5527136788005e-15, '
+        '"rhs": 0.0, "margin": -3.5527136788005e-15, "pass": true}, '
+        '{"name": "lambda-bound", "lhs": 1.0, "rhs": 1.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "jensen", "lhs": 7.69920982436131, "rhs": '
+        '7.72109918870718, "margin": 0.0218893643458724, "pass": true}, '
+        '{"name": "counting-bound", "lhs": 211.0, "rhs": 211.0, "margin": '
+        '0.0, "pass": true}, '
+        '{"name": "link-bound", "lhs": 49.0, "rhs": 49.0, "margin": 0.0, '
+        '"pass": true}, '
+        '{"name": "final-bound", "lhs": 15.3446426679321, "rhs": '
+        '15.4421983774144, "margin": 0.0975557094822488, "pass": true}], '
+        '"findings": [], "all_passed": true}\n'
+    ),
+}
+
+
+class TestVerifyProofGolden:
+    @pytest.mark.parametrize("spec", list(GOLDEN_PROOFS))
+    def test_text_and_json_byte_for_byte(self, capsys, monkeypatch, spec):
+        if spec is None:
+            g = build_hrd(3, 2)[0]
+        else:
+            r, d, num_a, seed = spec
+            g = random_quasi_bipartite(r, d, num_a, random.Random(seed))
+        for argv, expected in zip(([], ["--json"]), GOLDEN_PROOFS[spec]):
+            code, out, _ = run(capsys, ["verify-proof", "-"] + argv,
+                               stdin=write_hypergraph(g),
+                               monkeypatch=monkeypatch)
+            assert code == 0
+            assert out == expected, argv
 
 
 class TestCompare:

@@ -14,9 +14,9 @@ from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
 from hyperind.counting import count_brute, ind_hrd_formula
 from hyperind.verification import (PROOF_EPS, ConjectureVerdict, ProofStep,
                                    ProofStepReport, SubsetDistribution,
-                                   _binary_entropy,
-                                   _tighter, infer_uniform_regular,
-                                   is_union_of_kdd)
+                                   _a_vertex_marginals, _binary_entropy,
+                                   _power_sum, _tighter,
+                                   infer_uniform_regular, is_union_of_kdd)
 
 
 def cycle(n):
@@ -642,6 +642,147 @@ class TestCapsReachCounting:
             compare_constructions(3, t=2, caps=Caps(brute=5))
 
 
+def reference_entropy(dist):
+    """The float-loop entropy the exact power-of-two sum replaced, kept as a
+    reference: one float addition per weight, in configuration order."""
+    acc = 0.0
+    for w in dist.counts[dist.counts > 1].tolist():
+        acc += w * math.log2(w)
+    return math.log2(dist.total) - acc / dist.total
+
+
+def reference_add_a_vertex(dist_b, a, link):
+    """The X_{a} u X_B table the span-derived marginals replaced, kept as a
+    reference: a blocked J keeps its weight, a free J splits it evenly
+    between J and J + a."""
+    abit = np.uint64(1 << a)
+    free = np.ones(len(dist_b.configs), dtype=bool)
+    for e in link:
+        em = np.uint64(mask_of(e))
+        free &= (dist_b.configs & em) != em
+    configs = np.concatenate((dist_b.configs, dist_b.configs[free] | abit))
+    counts = np.concatenate((np.where(free, dist_b.counts >> 1, dist_b.counts),
+                             dist_b.counts[free] >> 1))
+    order = np.argsort(configs, kind="stable")
+    return SubsetDistribution(domain=dist_b.domain | (1 << a),
+                              configs=configs[order], counts=counts[order],
+                              total=dist_b.total)
+
+
+def _distribution(counts):
+    counts = np.array(counts, dtype=np.int64)
+    return SubsetDistribution(domain=(1 << 12) - 1,
+                              configs=np.arange(len(counts), dtype=np.uint64),
+                              counts=counts, total=int(sum(counts.tolist())))
+
+
+def _same_float(x, y):
+    return float.hex(x) == float.hex(y)
+
+
+class TestExactEntropySum:
+    """``entropy`` equals the float loop bit for bit, on both sides of the
+    2^53 guard and with weights that are not powers of two."""
+
+    def test_power_sum(self):
+        assert _power_sum(np.array([1, 2, 4, 4, 8], dtype=np.int64)) \
+            == 2 + 2 * 8 + 3 * 8
+        assert _power_sum(np.array([], dtype=np.int64)) == 0
+        assert _power_sum(np.array([1, 1], dtype=np.int64)) == 0
+        assert _power_sum(np.array([2, 6], dtype=np.int64)) is None
+        assert _power_sum(np.array([1 << 62], dtype=np.int64)) == 62 << 62
+
+    def test_huge_power_of_two_weights(self):
+        for k in (40, 52, 53, 58, 62):
+            big = 1 << k
+            for counts in ([big, 1, big, 2, big], [big] * 5, [big, big >> 3],
+                           [big, 1], [1, 2, 4, big]):
+                dist = _distribution(counts)
+                assert _same_float(entropy(dist), reference_entropy(dist)), \
+                    (k, counts)
+        # 58 * 2^58 overflows int64: the guard must send this to the loop
+        dist = _distribution([1 << 58, 1 << 58, 1 << 58])
+        assert _power_sum(dist.counts) >= 1 << 53
+        assert entropy(dist) == reference_entropy(dist) \
+            == pytest.approx(math.log2(3))
+
+    def test_mixed_weights(self):
+        big = 1 << 40
+        for counts in ([big, 1, big, 3, big], [big + 1, big], [3, 5, 6],
+                       [1 << 58, (1 << 58) + 1], [7]):
+            dist = _distribution(counts)
+            assert _power_sum(dist.counts) is None
+            assert _same_float(entropy(dist), reference_entropy(dist)), counts
+
+    def test_random_weights_around_the_guard(self):
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            top = rng.choice((3, 10, 30, 45, 48, 50, 52, 62))
+            counts = [1 << rng.randint(0, top)
+                      for _ in range(rng.randint(1, 40))]
+            if rng.random() < 0.2:
+                counts[rng.randrange(len(counts))] += rng.randint(1, 5)
+            dist = _distribution(counts)
+            assert _same_float(entropy(dist), reference_entropy(dist)), counts
+
+    def test_empty_and_zero_weights(self):
+        dist = SubsetDistribution(domain=0b11,
+                                  configs=np.array([0, 1, 2], dtype=np.uint64),
+                                  counts=np.array([0, 4, 1], dtype=np.int64),
+                                  total=5)
+        assert _same_float(entropy(dist), reference_entropy(dist))
+        empty = SubsetDistribution(domain=0b11,
+                                   configs=np.array([], dtype=np.uint64),
+                                   counts=np.array([], dtype=np.int64), total=0)
+        for ent in (entropy, reference_entropy):
+            with pytest.raises(ValueError):
+                ent(empty)
+
+    def test_b_side_and_exhaustive_tables(self):
+        rng = random.Random(11)
+        for r, d, num_a in [(3, 2, 8), (2, 3, 12), (4, 2, 6), (3, 3, 6)]:
+            g = random_quasi_bipartite(r, d, num_a, rng)
+            dist_b = joint_distribution(
+                g, onto=mask_of(quasi_bipartition(g).b_side))
+            assert _same_float(entropy(dist_b), reference_entropy(dist_b))
+        dist = joint_distribution(build_hrd(3, 2)[0])
+        assert _same_float(entropy(dist), reference_entropy(dist))
+
+
+class TestSpanDerivedMarginals:
+    """Each X_{a} u X_span marginal and H(X_a, X_B), read from the span
+    marginal alone, equal the marginal and the float-loop entropy of the
+    full X_{a} u X_B table, with ==."""
+
+    def _check(self, g):
+        cert = quasi_bipartition(g)
+        dist_b = joint_distribution(g, onto=mask_of(cert.b_side))
+        b_sum = _power_sum(dist_b.counts)
+        for a in sorted(cert.a_side):
+            link = cert.link_matchings[a]
+            smask = mask_of(v for e in link for v in e)
+            span, a_span, h_a_b = _a_vertex_marginals(dist_b, b_sum, a,
+                                                      smask, link)
+            table = reference_add_a_vertex(dist_b, a, link)
+            assert span == marginal(dist_b, smask)
+            assert a_span == marginal(table, (1 << a) | smask), (g.edges, a)
+            assert _same_float(h_a_b, reference_entropy(table)), (g.edges, a)
+
+    def test_hrd(self):
+        for r, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2)]:
+            self._check(build_hrd(r, d)[0])
+
+    def test_random_quasi_bipartite_to_the_cap(self):
+        rng = random.Random(20261018)
+        for r, d, sizes in [(3, 2, (2, 4, 6, 8)), (2, 3, (3, 6, 9, 12)),
+                            (4, 2, (2, 4, 6)), (2, 2, (2, 7, 12)),
+                            (3, 3, (3, 5, 8)), (2, 4, (4, 8, 12))]:
+            for num_a in sizes:
+                g = random_quasi_bipartite(r, d, num_a, rng)
+                assert g.n <= 24
+                self._check(g)
+
+
 def reference_verify_proof_steps(g, eps=PROOF_EPS, caps=Caps()):
     """The exhaustive proof checker the B-side one replaced, kept as a
     reference: every marginal is projected from the 2^n table of independent
@@ -652,14 +793,14 @@ def reference_verify_proof_steps(g, eps=PROOF_EPS, caps=Caps()):
     a_side = sorted(cert.a_side)
     b_mask = mask_of(cert.b_side)
     a_mask = mask_of(cert.a_side)
-    h_x = entropy(dist)
+    h_x = reference_entropy(dist)
     span_masks = {a: mask_of(v for e in cert.link_matchings[a] for v in e)
                   for a in a_side}
     entropies = {}
 
     def h(mask):
         if mask not in entropies:
-            entropies[mask] = entropy(marginal(dist, mask))
+            entropies[mask] = reference_entropy(marginal(dist, mask))
         return entropies[mask]
 
     steps, findings = [], []
