@@ -700,7 +700,7 @@ class TestExactEntropySum:
                 dist = _distribution(counts)
                 assert _same_float(entropy(dist), reference_entropy(dist)), \
                     (k, counts)
-        # 58 * 2^58 overflows int64: the guard must send this to the loop
+        # 3 * 58 * 2^58 is past 2^53 (and past int64): the loop must run
         dist = _distribution([1 << 58, 1 << 58, 1 << 58])
         assert _power_sum(dist.counts) >= 1 << 53
         assert entropy(dist) == reference_entropy(dist) \
