@@ -21,7 +21,8 @@ The same factorisation serves each A-vertex a.  Whether a is free in J
 depends on J & V(L(a)) alone, so X_{a} u X_{V(L(a))} is read from the span
 marginal of X_B, and H(X_a, X_B) from that marginal's free weight: no
 {a} u B table is built.  Every B-side weight is a power of two, so the
-entropy sums of X_B and of X_{a} u X_B are exact integer sums of k 2^k.
+entropy sums of X_B and of X_{a} u X_B are exact integer sums of k 2^k
+(``_power_sum``), turned into entropies by ``_entropy_from_sum``.
 
 A marginal projects the configurations onto a vertex subset and sums their
 weights exactly in int64 (a stable sort, then ``np.add.reduceat``), so no
@@ -335,8 +336,7 @@ def _a_vertex_marginals(dist_b: SubsetDistribution, b_sum: int, a: int,
                                 configs=configs[order], counts=counts[order],
                                 total=span.total)
     w_free = int(span.counts[free].sum())
-    h_a_b = log2(dist_b.total) - float(b_sum - w_free) / dist_b.total
-    return span, a_span, h_a_b
+    return span, a_span, _entropy_from_sum(dist_b.total, b_sum - w_free)
 
 
 def _power_sum(counts: np.ndarray) -> int | None:
@@ -352,24 +352,29 @@ def _power_sum(counts: np.ndarray) -> int | None:
     return sum(k * c << k for k, c in enumerate(per_k))
 
 
+def _entropy_from_sum(total: int, s: int | float) -> float:
+    """The entropy log2(total) - s / total of weights whose sum of w log2 w
+    is s.  An int s is rounded to a float first, as the float loop holds
+    it."""
+    return log2(total) - float(s) / total
+
+
 def entropy(dist: SubsetDistribution) -> float:
     """Shannon entropy in bits: log2(total) - (1/total) * sum w*log2(w).
 
-    In general the sum runs over Python ints in increasing order of
-    configuration, one float addition at a time, so the result does not
-    depend on numpy's summation order.  When every weight is a power of two
-    2^k (as on the B side, where each weight is 2^f(J)) the sum is the exact
-    integer sum of k 2^k instead.  While that is below 2^53 every partial
-    sum of the loop is an exact integer too, so both give the same float;
-    above it, or with any other weight, the loop runs.
+    When every weight is a power of two 2^k (as on the B side, where each
+    weight is 2^f(J)) the sum is the exact integer sum of k 2^k.  Otherwise,
+    or when that sum reaches 2^53, it runs over Python ints in increasing
+    order of configuration, one float addition at a time, so the result does
+    not depend on numpy's summation order.  Below 2^53 every partial sum of
+    that loop is an exact integer, so both give the same float.
     """
     s = _power_sum(dist.counts)
-    if s is not None and s < 1 << 53:
-        return log2(dist.total) - float(s) / dist.total
-    acc = 0.0
-    for w in dist.counts[dist.counts > 1].tolist():
-        acc += w * log2(w)
-    return log2(dist.total) - acc / dist.total
+    if s is None or s >= 1 << 53:
+        s = 0.0
+        for w in dist.counts[dist.counts > 1].tolist():
+            s += w * log2(w)
+    return _entropy_from_sum(dist.total, s)
 
 
 def _binary_entropy(w1: int, w0: int) -> float:
@@ -462,7 +467,7 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
     # projection of X_B; each distinct marginal's entropy is computed once
     # and the steps reuse it
     b_sum = _power_sum(dist_b.counts)  # exact: every weight is 2^f(J)
-    entropies = {b_mask: h_x - float(b_sum) / ind_g, a_mask | b_mask: h_x}
+    entropies = {b_mask: entropy(dist_b), a_mask | b_mask: h_x}
     span_margs: dict[int, SubsetDistribution] = {}
     a_span_margs: dict[int, SubsetDistribution] = {}
     for a in a_side:

@@ -738,6 +738,27 @@ class TestExactEntropySum:
             with pytest.raises(ValueError):
                 ent(empty)
 
+    def test_power_of_two_weights_skip_the_loop(self, monkeypatch):
+        import hyperind.verification as verification
+
+        calls = []
+
+        def counting_log2(x):
+            calls.append(x)
+            return math.log2(x)
+
+        monkeypatch.setattr(verification, "log2", counting_log2)
+        g = random_quasi_bipartite(3, 2, 6, random.Random(5))
+        for counts, loop_terms in [
+                (joint_distribution(g, onto=mask_of(
+                    quasi_bipartition(g).b_side)).counts.tolist(), 0),
+                ([1, 2, 4, 4, 8], 0),
+                ([1, 3, 4], 2),              # 3 is not a power of two
+                ([1 << 58] * 3, 3)]:         # the sum is past 2^53
+            calls.clear()
+            entropy(_distribution(counts))
+            assert len(calls) == loop_terms + 1, counts  # + log2(total)
+
     def test_b_side_and_exhaustive_tables(self):
         rng = random.Random(11)
         for r, d, num_a in [(3, 2, 8), (2, 3, 12), (4, 2, 6), (3, 3, 6)]:
