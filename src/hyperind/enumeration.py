@@ -15,8 +15,9 @@ The last edge is forced.  With n*d/r - 1 edges chosen the residual degrees
 sum to r, so a graph completes only when exactly r vertices each need one
 more edge, and those r vertices are the last edge.  The search looks their
 mask up in a mask -> candidate index table built once per run and accepts it
-when its index is past the previous edge's; no candidates are scanned at
-the deepest level, where most search nodes lie.
+when its index is past the previous edge's.  It does so inside the candidate
+loop of the last-but-one level, from the mask of vertices of residual 1, so
+the deepest level, where most search nodes would lie, is never entered.
 """
 
 from __future__ import annotations
@@ -119,18 +120,28 @@ def enumerate_regular(spec: EnumSpec,
             visit(g)
 
     def rec(i: int, full: int) -> None:
-        # fewer than m edges are chosen
-        if len(chosen) == m - 1:
-            # the residuals sum to r: the vertices not yet full must be
-            # exactly the last edge, and it must come after the previous one
-            j = index.get(everyone & ~full, -1)
-            if j >= i:
-                chosen.append(candidates[j])
-                emit()
-                chosen.pop()
-            return
+        # fewer than m - 1 edges are chosen
         # every vertex below v is full, so the next edge starts at v
         v = (~full & (full + 1)).bit_length() - 1
+        if len(chosen) == m - 2:
+            # the next edge is the last but one; after it the residuals sum
+            # to r, so the vertices not full -- all but its own vertices of
+            # residual 1 -- must be exactly the last edge, which comes later
+            ones = 0
+            for u in range(v, spec.n):
+                if residual[u] == 1:
+                    ones |= 1 << u
+            for j in range(max(i, block[v]), block[v + 1]):
+                mask = masks[j]
+                if mask & full:
+                    continue
+                k = index.get(everyone & ~(full | mask & ones), -1)
+                if k > j:
+                    chosen.append(candidates[j])
+                    chosen.append(candidates[k])
+                    emit()
+                    del chosen[-2:]
+            return
         for j in range(max(i, block[v]), block[v + 1]):
             if masks[j] & full:
                 continue
@@ -146,10 +157,18 @@ def enumerate_regular(spec: EnumSpec,
             for u in e:
                 residual[u] += 1
 
+    full = core.mask_of(v for v in range(spec.n) if residual[v] == 0)
     if len(chosen) == m:
         emit()
+    elif len(chosen) == m - 1:
+        # the residuals sum to r: the vertices not yet full must be exactly
+        # the last edge, and it must come at or after candidate start
+        j = index.get(everyone & ~full, -1)
+        if j >= start:
+            chosen.append(candidates[j])
+            emit()
     else:
-        rec(start, core.mask_of(v for v in range(spec.n) if residual[v] == 0))
+        rec(start, full)
     return emitted
 
 

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from hyperind import (Caps, CapacityError, Hypergraph, InvalidArgumentError,
-                      build_complete_r_partite, build_hrd, build_matching,
+from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
+                      InvalidArgumentError, build_complete_r_partite, build_hrd, build_matching,
                       build_transversal_design_3, disjoint_union,
-                      joint_distribution, random_quasi_bipartite)
+                      enumerate_regular, joint_distribution,
+                      random_quasi_bipartite)
 from hyperind import counting
 from hyperind.counting import (count, count_auto, count_branch, count_brute,
                                ind_hrd_formula, independent_set_masks)
@@ -30,6 +31,31 @@ def grid(rows, cols):
                        for i in range(rows) for j in range(cols - 1)]
                       + [(at(i, j), at(i + 1, j))
                          for i in range(rows - 1) for j in range(cols)])
+
+
+def reference_count_brute(g):
+    """``count_brute`` without its cache of edge patterns: the low/high split
+    with one loop over the assignments of the high vertices, at every n."""
+    k = min(g.n, 20)
+    patterns = counting._low_patterns(k)
+    everything = (1 << (1 << k)) - 1
+    split = []
+    for e in g.edges:
+        high, low = 0, everything
+        for v in e:
+            if v < k:
+                low &= patterns[v]
+            else:
+                high |= 1 << (v - k)
+        split.append((high, low))
+    total = 0
+    for assignment in range(1 << (g.n - k)):
+        hit = 0
+        for high, low in split:
+            if high & assignment == high:
+                hit |= low
+        total += (1 << k) - hit.bit_count()
+    return total
 
 
 def reference_count_branch(g):
@@ -126,6 +152,10 @@ def _reference_components(edges):
     return comps
 
 
+# the labeled (r, d, n) ranges of the benchmark's sweep workload
+SWEEP_RANGES = [(2, 1, 10), (2, 2, 9), (2, 3, 8), (3, 1, 12), (3, 2, 6)]
+
+
 class TestFormula:
     def test_values(self):
         assert ind_hrd_formula(2, 1) == 3
@@ -211,6 +241,69 @@ class TestBruteLowHighSplit:
             expected = count_brute(g1) * count_brute(g2)
             assert count_brute(union) == expected
             assert count_brute(relabel(union, rng)) == expected
+
+
+class TestBruteEdgePatternCache:
+    """Up to n = 12 count_brute ORs edge patterns from a cache keyed by n;
+    above it the low/high split runs and nothing is cached."""
+
+    def test_sweep_graphs_match_reference(self):
+        checked = 0
+
+        def visit(g):
+            nonlocal checked
+            assert count_brute(g) == reference_count_brute(g), g
+            checked += 1
+
+        for r, d, n_max in SWEEP_RANGES:
+            for n in range(r, n_max + 1):
+                enumerate_regular(EnumSpec(r=r, d=d, n=n), visit)
+        assert checked == 70335
+
+    def test_mixed_sizes_on_both_sides_of_the_cutoff(self, rng):
+        assert counting._CACHED_N == 12
+        for n in range(15):
+            cases = [Hypergraph(n), mixed_hypergraph(n, rng)]
+            if n:
+                # singletons on the even vertices, the odd ones isolated
+                singletons = Hypergraph(n, [(v,) for v in range(0, n, 2)])
+                assert count_brute(singletons) == 2 ** (n // 2)
+                # a singleton inside a larger edge, beside isolated vertices
+                cases.append(Hypergraph(n, [(0,), range(min(n, 3))]))
+            if n <= 10:
+                cases += [mixed_hypergraph(n, rng) for _ in range(2)]
+            for g in cases:
+                assert count_brute(g) == brute_count(g), g
+        assert count_brute(Hypergraph(0)) == 1
+
+    def test_cache_is_keyed_by_n(self):
+        counting._edge_patterns.cache_clear()
+        # one edge on 5 vertices, then the same edge on 6
+        assert count_brute(Hypergraph(5, [(0, 1)])) == 24
+        assert count_brute(Hypergraph(6, [(0, 1)])) == 48
+        assert count_brute(Hypergraph(5, [(0, 1)])) == 24
+
+    def test_cold_and_warm_cache_agree(self, rng):
+        graphs = [mixed_hypergraph(n, rng) for n in range(13) for _ in range(4)]
+        cold = []
+        for g in graphs:
+            counting._edge_patterns.cache_clear()
+            cold.append(count_brute(g))
+        warm = [count_brute(g) for g in graphs]
+        assert warm == [count_brute(g) for g in graphs] == cold
+        assert cold == [reference_count_brute(g) for g in graphs]
+
+    def test_nothing_cached_above_the_cutoff(self, rng):
+        counting._edge_patterns.cache_clear()
+        for n in range(13, 21):
+            g = mixed_hypergraph(n, rng)
+            assert count_brute(g) == reference_count_brute(g), g
+        assert counting._edge_patterns.cache_info().currsize == 0
+        count_brute(Hypergraph(12, [(0, 11)]))
+        assert counting._edge_patterns.cache_info().currsize == 1
+        assert dict(counting._edge_patterns(12)) == {
+            (0, 11): counting._low_patterns(12)[0]
+            & counting._low_patterns(12)[11]}
 
 
 class TestBranch:

@@ -153,8 +153,9 @@ def _fits(prefix, n, d):
 
 
 class TestForcedLastEdge:
-    """The deepest level looks the last edge up instead of scanning; these
-    prefixes start the search at or next to that level."""
+    """The last edge is looked up, not scanned for, inside the candidate loop
+    of the last-but-one level; these prefixes start the search at that
+    level or the one after it."""
 
     SPECS = [(2, 1, 6), (2, 2, 5), (2, 2, 6), (3, 2, 6), (2, 3, 6), (4, 2, 6)]
 
@@ -172,6 +173,21 @@ class TestForcedLastEdge:
                 assert len(got) <= 1
                 emitted += len(got)
         # each labeled graph completes exactly one prefix of its first m - 1 edges
+        assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
+                              for r, d, n in self.SPECS)
+
+    def test_every_prefix_of_m_minus_2_edges(self):
+        emitted = 0
+        for r, d, n in self.SPECS:
+            m = EnumSpec(r=r, d=d, n=n).num_edges
+            candidates = list(itertools.combinations(range(n), r))
+            for prefix in itertools.combinations(candidates, m - 2):
+                if not _fits(prefix, n, d):
+                    continue
+                spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
+                got = collect(spec)
+                assert got == reference_emissions(spec), prefix
+                emitted += len(got)
         assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
                               for r, d, n in self.SPECS)
 
