@@ -218,13 +218,21 @@ def relabel(g, rng):
 
 class TestBruteLowHighSplit:
     """count_brute handles vertices below 20 as bits of one integer and
-    loops over assignments of the rest; these cases cover both sides."""
+    loops over assignments of the rest, and up to 12 vertices reads cached
+    edge patterns instead; these cases cover every side."""
 
     def test_mixed_sizes_against_pure_python_oracle(self, rng):
+        assert counting._CACHED_N == 12
         for n in range(15):
             assert count_brute(Hypergraph(n)) == 2 ** n
-            for _ in range(3 if n <= 10 else 1):
-                g = mixed_hypergraph(n, rng)
+            cases = [mixed_hypergraph(n, rng) for _ in range(3 if n <= 10 else 1)]
+            if n:
+                # singletons on the even vertices, the odd ones isolated
+                singletons = Hypergraph(n, [(v,) for v in range(0, n, 2)])
+                assert count_brute(singletons) == 2 ** (n // 2)
+                # a singleton inside a larger edge, beside isolated vertices
+                cases.append(Hypergraph(n, [(0,), range(min(n, 3))]))
+            for g in cases:
                 assert count_brute(g) == brute_count(g), g
 
     def test_unions_across_vertex_20(self, rng):
@@ -259,22 +267,6 @@ class TestBruteEdgePatternCache:
             for n in range(r, n_max + 1):
                 enumerate_regular(EnumSpec(r=r, d=d, n=n), visit)
         assert checked == 70335
-
-    def test_mixed_sizes_on_both_sides_of_the_cutoff(self, rng):
-        assert counting._CACHED_N == 12
-        for n in range(15):
-            cases = [Hypergraph(n), mixed_hypergraph(n, rng)]
-            if n:
-                # singletons on the even vertices, the odd ones isolated
-                singletons = Hypergraph(n, [(v,) for v in range(0, n, 2)])
-                assert count_brute(singletons) == 2 ** (n // 2)
-                # a singleton inside a larger edge, beside isolated vertices
-                cases.append(Hypergraph(n, [(0,), range(min(n, 3))]))
-            if n <= 10:
-                cases += [mixed_hypergraph(n, rng) for _ in range(2)]
-            for g in cases:
-                assert count_brute(g) == brute_count(g), g
-        assert count_brute(Hypergraph(0)) == 1
 
     def test_cache_is_keyed_by_n(self):
         counting._edge_patterns.cache_clear()
