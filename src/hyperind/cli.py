@@ -6,7 +6,8 @@ integers appear in JSON as decimal strings and entropies as floats with 15
 significant digits.
 
 Exit codes: 0 success (and no counterexample found); 1 a genuine conjecture
-violation; 2 usage, parse, or capacity errors.
+violation; 2 usage, parse, capacity, or I/O errors (such as a missing input
+file).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import counting
@@ -138,27 +140,19 @@ def _cmd_compare(args, caps: Caps) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """One unit of enumeration work.  The spec carries the caps, so pool
-    workers get them by value under every process start method."""
-
-    spec: EnumSpec
-    check: bool  # check each emission against the conjecture
-    keep: bool  # return the emissions' texts
-
-
-def _enumerate_chunk(chunk: _Chunk) -> tuple[int, list[str], list[str]]:
+def _enumerate_chunk(spec: EnumSpec, check: bool,
+                     keep: bool) -> tuple[int, list[str], list[str]]:
     """Worker: enumerate one first-edge prefix; returns (count, emissions,
-    violations) as ".hg" texts.  Emissions are kept only when requested."""
-    spec = chunk.spec
+    violations) as ".hg" texts.  Emissions are kept only when requested.
+    The spec carries the caps, so pool workers get them by value under
+    every process start method."""
     emissions: list[str] = []
     violations: list[str] = []
 
     def visit(g: Hypergraph) -> None:
-        if chunk.keep or spec.up_to_iso:
+        if keep or spec.up_to_iso:
             emissions.append(write_hypergraph(g))
-        if chunk.check and not check_conjecture(g, caps=spec.caps).holds:
+        if check and not check_conjecture(g, caps=spec.caps).holds:
             violations.append(write_hypergraph(g))
 
     count = enumerate_regular(spec, visit)
@@ -173,15 +167,19 @@ def _cmd_enumerate(args, caps: Caps) -> int:
     keep = args.emit is not None
     # up to isomorphism, each class is checked once, after the merge
     check = args.check_conjecture and not args.up_to_iso
-    if args.workers > 1 and spec.feasible and spec.num_edges > 0:
+    # empty for an infeasible spec or one with no edges
+    first_edges = first_edge_choices(spec) if args.workers > 1 else []
+    if first_edges:
         import concurrent.futures  # only a parallel run pays for the pool
 
-        chunks = [_Chunk(replace(spec, prefix=(e,)), check, keep)
-                  for e in first_edge_choices(spec)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_enumerate_chunk, chunks))
+        # the pool starts all its workers at once, so start no idle ones
+        workers = min(args.workers, len(first_edges))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(
+                partial(_enumerate_chunk, check=check, keep=keep),
+                [replace(spec, prefix=(e,)) for e in first_edges]))
     else:
-        results = [_enumerate_chunk(_Chunk(spec, check, keep))]
+        results = [_enumerate_chunk(spec, check, keep)]
 
     total = 0
     emissions: list[str] = []
@@ -290,10 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, Caps.from_env())
-    except (InvalidArgumentError, ParseError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidArgumentError, ParseError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

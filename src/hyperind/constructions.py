@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from .core import Hypergraph, VertexSet
 from .errors import InvalidArgumentError
 
+_MAX_DEALS = 200_000  # deals random_quasi_bipartite tries before it gives up
+
 
 @dataclass(frozen=True)
 class HrdLayout:
@@ -81,15 +83,15 @@ def build_matching(r: int, k: int) -> Hypergraph:
 
 
 def random_quasi_bipartite(r: int, d: int, num_a: int,
-                           rng: random.Random,
-                           max_attempts: int = 200_000) -> Hypergraph:
+                           rng: random.Random) -> Hypergraph:
     """A random d-regular quasi-bipartite r-graph with num_a A-side vertices.
 
     Vertices 0..num_a-1 form the A side; the B side has (r-1)*num_a vertices.
     Each A-vertex receives d pairwise-disjoint (r-1)-sets of B-vertices as its
     link.  B-side coverage is dealt from a shuffled deck holding each B-vertex
     d times; deals giving an A-vertex a repeated B-vertex are rejected, so the
-    output is d-regular on both sides by construction.
+    output is d-regular on both sides by construction.  RuntimeError after
+    200,000 rejected deals.
     """
     if r < 2 or d < 1 or num_a < d:
         raise InvalidArgumentError(
@@ -97,7 +99,7 @@ def random_quasi_bipartite(r: int, d: int, num_a: int,
     nb = (r - 1) * num_a
     b_verts = list(range(num_a, num_a + nb))
     per_a = d * (r - 1)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_DEALS):
         deck = [b for b in b_verts for _ in range(d)]
         rng.shuffle(deck)
         edges = []
@@ -114,5 +116,5 @@ def random_quasi_bipartite(r: int, d: int, num_a: int,
         if ok:
             return Hypergraph(num_a + nb, edges)
     raise RuntimeError(
-        f"no d-regular deal found in {max_attempts} attempts "
+        f"no d-regular deal found in {_MAX_DEALS} attempts "
         f"for r={r}, d={d}, num_a={num_a}")

@@ -159,30 +159,6 @@ class Hypergraph:
         span = frozenset(u for e in rem for u in e)
         return Link(graph=Hypergraph(self.n, rem), span=span)
 
-    def component_masks(self) -> list[int]:
-        """Bitmasks of the vertex sets of connected components (edge-connectivity).
-
-        Isolated vertices form singleton components.
-        """
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            for u in e[1:]:
-                ra, rb = find(e[0]), find(u)
-                if ra != rb:
-                    parent[rb] = ra
-        comps: dict[int, int] = {}
-        for v in range(self.n):
-            root = find(v)
-            comps[root] = comps.get(root, 0) | (1 << v)
-        return [comps[k] for k in sorted(comps)]
-
     def restrict(self, vertices: Iterable[int]) -> "Hypergraph":
         """Relabel the induced sub-hypergraph on `vertices` to 0..k-1.
 

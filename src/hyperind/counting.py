@@ -38,6 +38,7 @@ from .errors import CapacityError, InvalidArgumentError
 
 _CHUNK = 1 << 20
 _LOW_BITS = 20
+_AUTO_THRESHOLD = 20  # count_auto's first n for count_branch
 # count_brute reads edge patterns from a per-n cache up to this many vertices
 _CACHED_N = 12
 
@@ -392,9 +393,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def count_auto(g: Hypergraph, threshold: int = 20, caps: Caps = Caps()) -> int:
-    """Brute force below the threshold, ``count_branch`` at or above it."""
-    return count_brute(g, caps) if g.n < threshold else count_branch(g)
+def count_auto(g: Hypergraph, caps: Caps = Caps()) -> int:
+    """``count_brute`` below 20 vertices, ``count_branch`` from 20."""
+    return count_brute(g, caps) if g.n < _AUTO_THRESHOLD else count_branch(g)
 
 
 METHODS = ("auto", "brute", "branch")

@@ -102,34 +102,32 @@ def _verdict(r: int, d: int, n: int, ind_g: int) -> ConjectureVerdict:
                              lhs=lhs, rhs=rhs, slack_bits=slack)
 
 
-def check_conjecture(g: Hypergraph, method: str = "auto",
-                     caps: Caps = Caps()) -> ConjectureVerdict:
+def check_conjecture(g: Hypergraph, caps: Caps = Caps()) -> ConjectureVerdict:
     """Exact verdict on whether g respects the extremal bound of H(r,d).
 
-    r and d are inferred and ind(G) is counted on every call.  The verdict
-    is a function of (r, d, n, ind(G)) alone, so it is memoised on that key
-    and equal keys share one frozen ``ConjectureVerdict``: a labeled sweep
-    meets few distinct keys and pays for the big-integer powers and the
-    logarithms once per key."""
+    r and d are inferred and ind(G) is counted (method ``"auto"``) on every
+    call.  The verdict is a function of (r, d, n, ind(G)) alone, so it is
+    memoised on that key and equal keys share one frozen
+    ``ConjectureVerdict``: a labeled sweep meets few distinct keys and pays
+    for the big-integer powers and the logarithms once per key."""
     r, d = infer_uniform_regular(g)
-    return _verdict(r, d, g.n, count(g, method, caps))
+    return _verdict(r, d, g.n, count(g, "auto", caps))
 
 
 def is_union_of_kdd(g: Hypergraph, d: int) -> bool:
     """True iff g is a disjoint union of complete bipartite graphs K_{d,d}
-    (the known equality cases for r = 2)."""
-    if g.uniformity() != 2:
+    (the known equality cases for r = 2): g is 2-uniform and d-regular, and
+    for each edge uv every neighbour of u has the neighbourhood of v.  Each
+    of v's d neighbours is then adjacent to all of N(u), so it has the
+    neighbourhood of u, and N(u), N(v) are the sides of a K_{d,d} block."""
+    if g.uniformity() != 2 or g.regularity() != d:
         return False
-    for comp in g.component_masks():
-        verts = vertices_of(comp)
-        if len(verts) != 2 * d:
-            return False
-        sub = g.restrict(verts)
-        if sub.num_edges != d * d or sub.regularity() != d:
-            return False
-        if quasi_bipartition(sub) is None:
-            return False
-    return True
+    nbrs = [0] * g.n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return all(nbrs[w] == nbrs[v]
+               for u, v in g.edges for w in vertices_of(nbrs[u]))
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +422,7 @@ class ProofStepReport:
         return all(s.passed for s in self.steps)
 
 
-def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
-                       caps: Caps = Caps()) -> ProofStepReport:
+def verify_proof_steps(g: Hypergraph, caps: Caps = Caps()) -> ProofStepReport:
     """Numerically check every inequality in the entropy argument bounding
     ind(G) for a d-regular quasi-bipartite r-graph G.
 
@@ -435,8 +432,8 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
        B-vertex exactly d times;
     2. Shearer: H(X_B) <= (1/d) sum_a H(X_{V(L(a))});
     3. subadditivity: H(X_A | X_B) <= sum_a H(X_a | X_B), plus the equality
-       H(X_a | X_B) = H(X_a | X_{V(L(a))}) (two-sided; a violation beyond eps
-       is reported as a finding, not a failure);
+       H(X_a | X_B) = H(X_a | X_{V(L(a))}) (two-sided; a violation beyond
+       PROOF_EPS is reported as a finding, not a failure);
     4. per-configuration bound: lambda(I) in {1, 2} and
        H(X_a | X_{V(L(a))} = I) <= log2 lambda(I);
     5. Jensen: sum_I p(I) log2(lambda(I)^d / p(I)) <= log2 sum_I lambda(I)^d;
@@ -444,6 +441,8 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
        <= 2^|V(L(a))| + (2^d - 1) ind(L(a));
     7. link bound (exact): ind(L(a)) <= (2^(r-1) - 1)^d;
     8. final: H(X) <= (n/rd) log2 ind(H(r,d)).
+
+    The float inequalities are checked at a tolerance of PROOF_EPS bits.
     """
     import numpy as np
 
@@ -494,19 +493,19 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
     # (2) Shearer over the d-cover
     h_b = h(b_mask)
     shearer_rhs = sum(h(span_masks[a]) for a in a_side) / d
-    steps.append(ProofStep("shearer", h_b, shearer_rhs, h_b <= shearer_rhs + eps))
+    steps.append(ProofStep("shearer", h_b, shearer_rhs, h_b <= shearer_rhs + PROOF_EPS))
 
     # (3) subadditivity of H(X_A | X_B) and the conditioning reduction
     h_a_given_b = h(a_mask | b_mask) - h_b
     sub_rhs = sum(h((1 << a) | b_mask) - h_b for a in a_side)
     steps.append(ProofStep("subadditivity", h_a_given_b, sub_rhs,
-                           h_a_given_b <= sub_rhs + eps))
+                           h_a_given_b <= sub_rhs + PROOF_EPS))
     worst_eq = 0.0
     for a in a_side:
         diff = abs((h((1 << a) | b_mask) - h_b)
                    - (h((1 << a) | span_masks[a]) - h(span_masks[a])))
         worst_eq = max(worst_eq, diff)
-        if diff > eps:
+        if diff > PROOF_EPS:
             findings.append(
                 f"conditioning reduction differs by {diff:.3e} bits at vertex {a}")
     steps.append(ProofStep("conditioning-reduction", worst_eq, 0.0, True))
@@ -530,7 +529,7 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
             w1 = with_a.get(config, 0)
             h_cond = _binary_entropy(w1, w_total - w1)
             worst_lambda = _tighter(worst_lambda, h_cond, log2(lam))
-            if h_cond - log2(lam) > eps or lam not in (1, 2):
+            if h_cond - log2(lam) > PROOF_EPS or lam not in (1, 2):
                 lambda_pass = False
         # (5) Jensen
         lam_sum = sum(lam ** d for lam in lambdas.values())
@@ -553,7 +552,7 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
     steps.append(ProofStep("lambda-bound", worst_lambda[0], worst_lambda[1],
                            lambda_pass))
     steps.append(ProofStep("jensen", worst_jensen[0], worst_jensen[1],
-                           worst_jensen[0] <= worst_jensen[1] + eps))
+                           worst_jensen[0] <= worst_jensen[1] + PROOF_EPS))
     steps.append(ProofStep("counting-bound", float(worst_count[0]),
                            float(worst_count[1]),
                            worst_count[0] <= worst_count[1]))
@@ -562,7 +561,7 @@ def verify_proof_steps(g: Hypergraph, eps: float = PROOF_EPS,
 
     # (8) final bound
     hrd_bound = (g.n / (r * d)) * log2(ind_hrd_formula(r, d))
-    steps.append(ProofStep("final-bound", h_x, hrd_bound, h_x <= hrd_bound + eps))
+    steps.append(ProofStep("final-bound", h_x, hrd_bound, h_x <= hrd_bound + PROOF_EPS))
 
     return ProofStepReport(n=g.n, r=r, d=d, ind_g=ind_g, log2_ind=h_x,
                            hrd_bound_bits=hrd_bound, steps=tuple(steps),

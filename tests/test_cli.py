@@ -381,6 +381,34 @@ class TestEnumerate:
         assert code == 0
         assert "emitted: 0" in out
 
+    def test_pool_size_capped_at_chunk_count(self, capsys, monkeypatch):
+        # the pool starts every worker up front; r=2 d=2 n=6 splits into
+        # the 5 first edges through vertex 0, so 5 workers are enough
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        code, out, _ = run(capsys, ["enumerate", "--r", "2", "--d", "2",
+                                    "--n", "6", "--check-conjecture",
+                                    "--workers", "1000"])
+        assert code == 0
+        assert out == "emitted: 70\nchecked: 70\nviolations: 0\n"
+        assert sizes == [5]
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -11,7 +12,8 @@ from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
                       enumerate_regular,
                       joint_distribution, marginal, mask_of, quasi_bipartition,
                       random_quasi_bipartite, verify_proof_steps, vertices_of)
-from hyperind.counting import count_brute, ind_hrd_formula
+from hyperind import counting
+from hyperind.counting import METHODS, count, count_brute, ind_hrd_formula
 from hyperind.verification import (PROOF_EPS, ConjectureVerdict, ProofStep,
                                    ProofStepReport, SubsetDistribution,
                                    _a_vertex_marginals, _binary_entropy,
@@ -67,9 +69,26 @@ class TestCheckConjecture:
 
     def test_methods_agree(self):
         g, _ = build_hrd(3, 2)
-        for method in ("auto", "brute", "branch"):
-            v = check_conjecture(g, method=method)
-            assert v.equality
+        v = check_conjecture(g)
+        assert v.equality
+        for method in METHODS:
+            assert count(g, method) == v.ind_g
+
+    def test_counts_through_count_auto(self, monkeypatch):
+        # perfbench's traced sweep and count passes expect count_auto calls,
+        # so both entry points look it up on the module at call time
+        calls = []
+        real = counting.count_auto
+
+        def spy(g, caps=Caps()):
+            calls.append(g)
+            return real(g, caps)
+
+        monkeypatch.setattr(counting, "count_auto", spy)
+        g = cycle(5)
+        assert count(g) == 11
+        assert check_conjecture(g).ind_g == 11
+        assert calls == [g, g]
 
 
 def reference_infer_uniform_regular(g):
@@ -228,7 +247,6 @@ class TestMemoisedVerdict:
         g = cycle(6)
         relabeled = Hypergraph(6, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)])
         assert check_conjecture(g) is check_conjecture(relabeled)
-        assert check_conjecture(g, method="branch") is check_conjecture(g)
 
 
 class TestIsUnionOfKdd:
@@ -245,6 +263,99 @@ class TestIsUnionOfKdd:
     def test_longer_cycles_are_not(self):
         assert not is_union_of_kdd(cycle(6), 2)
         assert not is_union_of_kdd(cycle(8), 2)
+
+    def test_every_small_regular_graph_against_reference(self):
+        checked = 0
+        for d in (1, 2, 3):
+            for n in range(2, 9):
+                def visit(g, d=d):
+                    nonlocal checked
+                    for k in (d - 1, d, d + 1):
+                        assert is_union_of_kdd(g, k) == \
+                            reference_is_union_of_kdd(g, k), (g, k)
+                        checked += 1
+
+                enumerate_regular(EnumSpec(r=2, d=d, n=n), visit)
+        assert checked == 3 * 23608
+
+    def test_random_graphs_against_reference(self):
+        rng = random.Random(14)
+        unions = 0
+        for i in range(2000):
+            g = _random_kdd_candidate(i % 4, rng)
+            for d in range(5):
+                want = reference_is_union_of_kdd(g, d)
+                assert is_union_of_kdd(g, d) == want, (g, d)
+                unions += want
+        assert unions > 200  # the draws reach the true side too
+
+
+def reference_is_union_of_kdd(g, d):
+    """The recognizer before its neighbourhood test: each component, found
+    by breadth-first search, must have 2d vertices and d^2 edges, be
+    d-regular and be quasi-bipartite."""
+    if g.uniformity() != 2:
+        return False
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    left = (1 << g.n) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier ^= low | new
+        left &= ~comp
+        if comp.bit_count() != 2 * d:
+            return False
+        sub = g.restrict(vertices_of(comp))
+        if sub.num_edges != d * d or sub.regularity() != d:
+            return False
+        if quasi_bipartition(sub) is None:
+            return False
+    return True
+
+
+def _random_kdd_candidate(kind, rng):
+    """Kind 0: edges of sizes 1-3; 1: a random graph; 2: a shuffled union of
+    K_{d,d} blocks, perturbed or not; 3: such a union beside a cycle or an
+    isolated vertex, or after a degree-preserving edge swap."""
+    if kind == 0:
+        n = rng.randint(0, 8)
+        return Hypergraph(n, [rng.sample(range(n), min(rng.randint(1, 3), n))
+                              for _ in range(rng.randint(0, n + 2) if n else 0)])
+    if kind == 1:
+        n = rng.randint(0, 9)
+        return Hypergraph(n, [e for e in itertools.combinations(range(n), 2)
+                              if rng.random() < 0.4])
+    d = rng.randint(1, 4)
+    blocks = rng.randint(1, 3)
+    edges = [(2 * d * b + i, 2 * d * b + d + j)
+             for b in range(blocks) for i in range(d) for j in range(d)]
+    n = 2 * d * blocks
+    action = rng.randrange(4)
+    if kind == 2 and action == 1:
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == 2 and action == 2:
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    elif kind == 3 and action == 0:
+        edges += [(n + i, n + (i + 1) % (2 * d + 2)) for i in range(2 * d + 2)]
+        n += 2 * d + 2
+    elif kind == 3 and action == 1:
+        n += 1
+    elif kind == 3 and len(edges) > 1:
+        # swap (a, b), (c, e) for (a, e), (c, b) when both are new edges
+        (a, b), (c, e) = rng.sample(edges, 2)
+        if a != c and b != e and (a, e) not in edges and (c, b) not in edges:
+            edges = [x for x in edges if x not in ((a, b), (c, e))]
+            edges += [(a, e), (c, b)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Hypergraph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 class TestCompare:
