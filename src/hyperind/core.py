@@ -100,18 +100,55 @@ class Hypergraph:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @classmethod
-    def _from_normalized(cls, n: int,
-                         edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
+    def _from_normalized(cls, n: int, edges: tuple[tuple[int, ...], ...],
+                         uniform_regular: tuple[int, int] | None = None
+                         ) -> "Hypergraph":
         """Wrap edges that are already distinct sorted tuples in 0..n-1, in
-        lexicographic order, without checking them again."""
+        lexicographic order, without checking them again.
+
+        A caller that built the edges as a d-regular r-uniform graph with
+        r >= 2, d >= 1 and at least one edge may pass (r, d); it fills the
+        ``_uniform_regular`` cache, so the inference never scans g."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
+        if uniform_regular is None:
+            g.__dict__.update(n=n, edges=edges)
+        else:
+            g.__dict__.update(n=n, edges=edges, _uniform_regular=uniform_regular)
         return g
+
+    def __reduce__(self):
+        # pickle the value alone, never the cached properties
+        return type(self), (self.n, self.edges)
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(e) for e in self.edges)
+
+    @cached_property
+    def _uniform_regular(self) -> tuple[int, int]:
+        """The (r, d) of a uniform regular hypergraph, with named offenders
+        on failure.  Requires r >= 2 and d >= 1.  A failure caches nothing,
+        so every access raises the same error again."""
+        if not self.edges:
+            raise InvalidArgumentError(
+                "hypergraph has no edges (degree d = 0 is rejected)")
+        r = len(self.edges[0])
+        for e in self.edges:
+            if len(e) != r:
+                raise InvalidArgumentError(
+                    f"not uniform: edge {e} has size {len(e)}, expected {r}")
+        if r < 2:
+            raise InvalidArgumentError("uniformity r must be >= 2")
+        degs = self.degrees()
+        d = degs[0] if self.n else 0
+        if degs.count(d) != len(degs):  # counted in C; the loop names the offender
+            for v, dv in enumerate(degs):
+                if dv != d:
+                    raise InvalidArgumentError(
+                        f"not regular: vertex {v} has degree {dv}, vertex 0 has degree {d}")
+        if d < 1:
+            raise InvalidArgumentError("degree d must be >= 1")
+        return r, d
 
     @property
     def num_edges(self) -> int:
@@ -126,11 +163,17 @@ class Hypergraph:
 
     def uniformity(self) -> int | None:
         """Common edge size r, or None if edges have mixed sizes or there are none."""
+        known = self.__dict__.get("_uniform_regular")
+        if known is not None:
+            return known[0]
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
 
     def regularity(self) -> int | None:
         """Common vertex degree d, or None if degrees differ (needs n >= 1)."""
+        known = self.__dict__.get("_uniform_regular")
+        if known is not None:
+            return known[1]
         if self.n == 0:
             return None
         degs = set(self.degrees())

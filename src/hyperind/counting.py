@@ -403,10 +403,13 @@ METHODS = ("auto", "brute", "branch")
 
 def count(g: Hypergraph, method: str = "auto", caps: Caps = Caps()) -> int:
     """Count independent sets with ``count_<method>``."""
-    if method not in METHODS:
-        raise InvalidArgumentError(
-            f"method must be one of {', '.join(METHODS)}, got {method!r}")
-    # looked up at call time, so a rebound module attribute is honoured;
-    # count_branch has no cap
-    fn = globals()["count_" + method]
-    return fn(g) if method == "branch" else fn(g, caps=caps)
+    # each route is a global looked up at call time, so a rebound module
+    # attribute is honoured
+    if method == "auto":
+        return count_auto(g, caps)
+    if method == "brute":
+        return count_brute(g, caps)
+    if method == "branch":
+        return count_branch(g)  # no cap
+    raise InvalidArgumentError(
+        f"method must be one of {', '.join(METHODS)}, got {method!r}")

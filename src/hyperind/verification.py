@@ -70,26 +70,13 @@ class ConjectureVerdict:
 
 def infer_uniform_regular(g: Hypergraph) -> tuple[int, int]:
     """The (r, d) of a uniform regular hypergraph, with named offenders on
-    failure.  Requires r >= 2 and d >= 1."""
-    if not g.edges:
-        raise InvalidArgumentError("hypergraph has no edges (degree d = 0 is rejected)")
-    r = len(g.edges[0])
-    for e in g.edges:
-        if len(e) != r:
-            raise InvalidArgumentError(
-                f"not uniform: edge {e} has size {len(e)}, expected {r}")
-    if r < 2:
-        raise InvalidArgumentError("uniformity r must be >= 2")
-    degs = g.degrees()
-    d = degs[0] if g.n else 0
-    if degs.count(d) != len(degs):  # counted in C; the loop names the offender
-        for v, dv in enumerate(degs):
-            if dv != d:
-                raise InvalidArgumentError(
-                    f"not regular: vertex {v} has degree {dv}, vertex 0 has degree {d}")
-    if d < 1:
-        raise InvalidArgumentError("degree d must be >= 1")
-    return r, d
+    failure.  Requires r >= 2 and d >= 1.
+
+    The answer is g's cached ``_uniform_regular``.  Its edge-size and
+    degree loops run on the first call for g (on every call while they
+    raise), and never on a graph that ``enumerate_regular`` emitted, which
+    carries its (r, d)."""
+    return g._uniform_regular
 
 
 @lru_cache(maxsize=4096)
@@ -105,11 +92,13 @@ def _verdict(r: int, d: int, n: int, ind_g: int) -> ConjectureVerdict:
 def check_conjecture(g: Hypergraph, caps: Caps = Caps()) -> ConjectureVerdict:
     """Exact verdict on whether g respects the extremal bound of H(r,d).
 
-    r and d are inferred and ind(G) is counted (method ``"auto"``) on every
-    call.  The verdict is a function of (r, d, n, ind(G)) alone, so it is
-    memoised on that key and equal keys share one frozen
-    ``ConjectureVerdict``: a labeled sweep meets few distinct keys and pays
-    for the big-integer powers and the logarithms once per key."""
+    r and d come from ``infer_uniform_regular``: a graph that
+    ``enumerate_regular`` emitted carries them, and any other graph is
+    scanned once and keeps the result.  ind(G) is counted (method
+    ``"auto"``) on every call.  The verdict is a function of (r, d, n,
+    ind(G)) alone, so it is memoised on that key and equal keys share one
+    frozen ``ConjectureVerdict``: a labeled sweep meets few distinct keys and
+    pays for the big-integer powers and the logarithms once per key."""
     r, d = infer_uniform_regular(g)
     return _verdict(r, d, g.n, count(g, "auto", caps))
 

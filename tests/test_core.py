@@ -398,3 +398,12 @@ class TestHypergraphBasics:
         assert g.regularity() == 2
         mixed = Hypergraph(3, [(0, 1), (0, 1, 2)])
         assert mixed.uniformity() is None
+
+    def test_recorded_pair_answers_uniformity_and_regularity(self):
+        # a recorded (r, d) is trusted without a scan; only enumerate_regular
+        # records one, and only for the graphs it built with that (r, d)
+        g = Hypergraph._from_normalized(4, ((0, 1), (2, 3)), (5, 7))
+        assert (g.uniformity(), g.regularity()) == (5, 7)
+        h = Hypergraph._from_normalized(4, ((0, 1), (2, 3)))
+        assert (h.uniformity(), h.regularity()) == (2, 1)
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)

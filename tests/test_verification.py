@@ -1,6 +1,8 @@
 import itertools
 import math
+import pickle
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
                       compare_constructions, disjoint_union, entropy,
                       enumerate_regular,
                       joint_distribution, marginal, mask_of, quasi_bipartition,
-                      random_quasi_bipartite, verify_proof_steps, vertices_of)
+                      random_quasi_bipartite, verify_proof_steps, vertices_of,
+                      write_hypergraph)
 from hyperind import counting
 from hyperind.counting import METHODS, count, count_brute, ind_hrd_formula
+from hyperind.enumeration import first_edge_choices
 from hyperind.verification import (PROOF_EPS, ConjectureVerdict, ProofStep,
                                    ProofStepReport, SubsetDistribution,
                                    _a_vertex_marginals, _binary_entropy,
@@ -67,6 +71,21 @@ class TestCheckConjecture:
         with pytest.raises(InvalidArgumentError):
             check_conjecture(Hypergraph(4))
 
+    @pytest.mark.parametrize("r,d,n", [(2, 2, 0), (2, 0, 4), (1, 1, 3), (3, 2, 0)])
+    def test_emissions_without_a_valid_pair_raise_as_unrecorded(self, r, d, n):
+        # enumerate_regular records no (r, d) on an edgeless, d = 0 or r = 1
+        # emission, so the verdict raises exactly as on the same edges built
+        # by the public constructor
+        emitted = []
+        assert enumerate_regular(EnumSpec(r=r, d=d, n=n), emitted.append) == 1
+        for g in emitted:
+            with pytest.raises(InvalidArgumentError) as got:
+                check_conjecture(g)
+            with pytest.raises(InvalidArgumentError) as want:
+                check_conjecture(Hypergraph(g.n, g.edges))
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
     def test_methods_agree(self):
         g, _ = build_hrd(3, 2)
         v = check_conjecture(g)
@@ -75,20 +94,35 @@ class TestCheckConjecture:
             assert count(g, method) == v.ind_g
 
     def test_counts_through_count_auto(self, monkeypatch):
-        # perfbench's traced sweep and count passes expect count_auto calls,
-        # so both entry points look it up on the module at call time
+        # perfbench's traced sweep and count passes expect count_auto and
+        # count_brute calls, so every route is looked up on the module at
+        # call time, for built and for enumerated graphs alike
         calls = []
-        real = counting.count_auto
 
-        def spy(g, caps=Caps()):
-            calls.append(g)
-            return real(g, caps)
+        def spy(name):
+            real = getattr(counting, name)
 
-        monkeypatch.setattr(counting, "count_auto", spy)
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[0]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(counting, name, wrapper)
+
+        for name in ("count_auto", "count_brute", "count_branch"):
+            spy(name)
         g = cycle(5)
         assert count(g) == 11
         assert check_conjecture(g).ind_g == 11
-        assert calls == [g, g]
+        assert calls == [("count_auto", g), ("count_brute", g)] * 2
+        emitted = []
+        enumerate_regular(EnumSpec(r=3, d=2, n=6), emitted.append)
+        calls.clear()
+        for e in emitted:
+            check_conjecture(e)
+        assert calls == [(name, e) for e in emitted
+                         for name in ("count_auto", "count_brute")]
+        calls.clear()
+        assert count(g, "brute") == count(g, "branch") == 11
+        assert calls == [("count_brute", g), ("count_branch", g)]
 
 
 def reference_infer_uniform_regular(g):
@@ -213,6 +247,21 @@ def _direct_verdict(g, r, d):
                              slack_bits=slack)
 
 
+def _assert_recorded_pair_is_invisible(g, pair):
+    """g was emitted with its (r, d) recorded: the pair is the one the
+    reference loops infer from the same edges, and nothing that compares,
+    hashes, prints, writes or pickles g can tell it from an unrecorded
+    copy."""
+    assert vars(g)["_uniform_regular"] == pair, g
+    h = Hypergraph(g.n, g.edges)
+    assert infer_uniform_regular(g) == reference_infer_uniform_regular(h) == pair
+    assert g == h and hash(g) == hash(h), g
+    assert repr(g) == repr(h) and write_hypergraph(g) == write_hypergraph(h)
+    assert pickle.dumps(g) == pickle.dumps(h), g
+    back = pickle.loads(pickle.dumps(g))
+    assert back == h and hash(back) == hash(h) and repr(back) == repr(h)
+
+
 class TestMemoisedVerdict:
     # the labeled sweep ranges of the conjecture hunt, up to n = 8
     RANGES = [(2, 1, 8), (2, 2, 8), (2, 3, 8), (3, 1, 8), (3, 2, 6)]
@@ -223,6 +272,7 @@ class TestMemoisedVerdict:
             for n in range(r, n_max + 1):
                 def visit(g, r=r, d=d):
                     nonlocal checked
+                    _assert_recorded_pair_is_invisible(g, (r, d))
                     got = check_conjecture(g)
                     want = _direct_verdict(g, r, d)
                     assert got == want, g
@@ -231,6 +281,16 @@ class TestMemoisedVerdict:
 
                 enumerate_regular(EnumSpec(r=r, d=d, n=n), visit)
         assert checked == 23694
+
+    def test_prefix_chunk_graphs_carry_their_pair(self):
+        # the worker path: one first-edge chunk of a split run
+        spec = EnumSpec(r=3, d=2, n=6)
+        first = first_edge_choices(spec)[0]
+        emitted = []
+        enumerate_regular(replace(spec, prefix=(first,)), emitted.append)
+        assert emitted and emitted[0].edges[0] == first
+        _assert_recorded_pair_is_invisible(emitted[0], (3, 2))
+        assert check_conjecture(emitted[0]) == _direct_verdict(emitted[0], 3, 2)
 
     def test_equal_counts_at_different_n(self):
         c4 = cycle(4)  # r = 2, d = 2, n = 4
