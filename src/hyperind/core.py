@@ -106,19 +106,18 @@ class Hypergraph:
         """Wrap edges that are already distinct sorted tuples in 0..n-1, in
         lexicographic order, without checking them again.
 
-        A caller that built the edges as a d-regular r-uniform graph with
-        r >= 2, d >= 1 and at least one edge may pass (r, d); it fills the
-        ``_uniform_regular`` cache, so the inference never scans g."""
+        A caller that built the edges as a d-regular r-uniform graph may
+        pass (r, d).  It fills the ``_uniform_regular`` cache, so the
+        inference never scans g, but only when those loops would accept
+        the graph: r >= 2, d >= 1 and at least one edge.  Otherwise nothing
+        is recorded and the inference raises its usual error."""
         g = object.__new__(cls)
-        if uniform_regular is None:
-            g.__dict__.update(n=n, edges=edges)
-        else:
+        if (uniform_regular and edges and uniform_regular[0] >= 2
+                and uniform_regular[1] >= 1):
             g.__dict__.update(n=n, edges=edges, _uniform_regular=uniform_regular)
+        else:
+            g.__dict__.update(n=n, edges=edges)
         return g
-
-    def __reduce__(self):
-        # pickle the value alone, never the cached properties
-        return type(self), (self.n, self.edges)
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
@@ -163,17 +162,11 @@ class Hypergraph:
 
     def uniformity(self) -> int | None:
         """Common edge size r, or None if edges have mixed sizes or there are none."""
-        known = self.__dict__.get("_uniform_regular")
-        if known is not None:
-            return known[0]
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
 
     def regularity(self) -> int | None:
         """Common vertex degree d, or None if degrees differ (needs n >= 1)."""
-        known = self.__dict__.get("_uniform_regular")
-        if known is not None:
-            return known[1]
         if self.n == 0:
             return None
         degs = set(self.degrees())

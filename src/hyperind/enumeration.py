@@ -19,13 +19,13 @@ when its index is past the previous edge's.  It does so inside the candidate
 loop of the last-but-one level, from the mask of vertices of residual 1, so
 the deepest level, where most search nodes would lie, is never entered.
 
-Every labeled graph is emitted with its (r, d) recorded, so
-``infer_uniform_regular`` (and with it ``check_conjecture``) answers
-without scanning the edges and degrees again.  Only a pair that the
-inference would accept is recorded: r >= 2, d >= 1 and at least one edge.
-The r = 1, d = 0 and n = 0 specs emit graphs without it, on which the
-inference raises its usual error.  Up to isomorphism the emitted graph is
-the canonical form, which records nothing.
+Every labeled graph is emitted with its (r, d) passed to
+``Hypergraph._from_normalized``, so ``infer_uniform_regular`` (and with it
+``check_conjecture``) answers without scanning the edges and degrees again.
+The graph records the pair only where the inference would accept it
+(r >= 2, d >= 1 and at least one edge), so on the r = 1, d = 0 and n = 0
+specs the inference raises its usual error.  Up to isomorphism the emitted
+graph is the canonical form, which records nothing.
 """
 
 from __future__ import annotations
@@ -111,9 +111,8 @@ def enumerate_regular(spec: EnumSpec,
 
     seen_canon: set[Hypergraph] = set()
     emitted = 0
-    # infer_uniform_regular rejects r = 1, d = 0 and the edgeless graph, so
-    # those emissions record nothing and it raises as on any other graph
-    known = (spec.r, spec.d) if spec.r >= 2 and spec.d >= 1 and m else None
+    # recorded only where infer_uniform_regular would accept it
+    known = (spec.r, spec.d)
 
     def emit() -> None:
         nonlocal emitted

