@@ -74,8 +74,8 @@ def infer_uniform_regular(g: Hypergraph) -> tuple[int, int]:
 
     The answer is g's cached ``_uniform_regular``.  Its edge-size and
     degree loops run on the first call for g (on every call while they
-    raise), and never on a graph that ``enumerate_regular`` emitted, which
-    carries its (r, d)."""
+    raise), and never on a labeled graph that ``enumerate_regular`` emitted
+    with an (r, d) they accept, which the graph carries."""
     return g._uniform_regular
 
 

@@ -96,11 +96,6 @@ class TestLabeled:
             for g in collect(spec):
                 assert g.uniformity() == spec.r
                 assert g.regularity() == spec.d
-        # the inference rejects r = 1, d = 0 and n = 0, so nothing is recorded
-        for spec in [EnumSpec(r=1, d=1, n=3), EnumSpec(r=2, d=0, n=4),
-                     EnumSpec(r=2, d=2, n=0)]:
-            for g in collect(spec):
-                assert "_uniform_regular" not in vars(g)
 
     def test_no_duplicates_and_deterministic(self):
         spec = EnumSpec(r=3, d=2, n=6)
