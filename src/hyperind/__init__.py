@@ -3,7 +3,7 @@ regular uniform hypergraphs."""
 
 from .constructions import HrdLayout, build_complete_r_partite, build_hrd, \
     build_matching, build_transversal_design_3, random_quasi_bipartite
-from .core import Caps, Hypergraph, Link, QuasiBipartition, VertexSet, \
+from .core import Caps, Hypergraph, QuasiBipartition, VertexSet, \
     canonical_form, disjoint_union, mask_of, quasi_bipartition, vertices_of
 from .counting import count, count_auto, count_branch, count_brute, \
     ind_hrd_formula
@@ -18,7 +18,7 @@ from .verification import ComparisonReport, ConjectureVerdict, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "Caps", "Hypergraph", "Link", "QuasiBipartition", "VertexSet",
+    "Caps", "Hypergraph", "QuasiBipartition", "VertexSet",
     "canonical_form", "disjoint_union", "quasi_bipartition",
     "mask_of", "vertices_of",
     "read_hypergraph", "write_hypergraph",

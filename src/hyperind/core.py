@@ -179,22 +179,6 @@ class Hypergraph:
             raise InvalidArgumentError("subset contains out-of-range vertices")
         return all(em & smask != em for em in self.edge_masks)
 
-    def link(self, v: int) -> "Link":
-        """The (r-1)-graph of edge remainders {e - {v} : v in e}.
-
-        Vertex labels are preserved; the span of the remainders is reported
-        alongside the graph.
-        """
-        if not 0 <= v < self.n:
-            raise InvalidArgumentError(f"vertex {v} out of range 0..{self.n - 1}")
-        r = self.uniformity()
-        if r is None or r < 2:
-            raise InvalidArgumentError(
-                "link requires an r-uniform hypergraph with r >= 2")
-        rem = [tuple(u for u in e if u != v) for e in self.edges if v in e]
-        span = frozenset(u for e in rem for u in e)
-        return Link(graph=Hypergraph(self.n, rem), span=span)
-
     def restrict(self, vertices: Iterable[int]) -> "Hypergraph":
         """Relabel the induced sub-hypergraph on `vertices` to 0..k-1.
 
@@ -211,26 +195,6 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
-class Link:
-    """A vertex link: the remainder graph plus the span of its edges."""
-
-    graph: Hypergraph
-    span: VertexSet
-
-    @property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        return self.graph.edges
-
-    def is_matching(self) -> bool:
-        seen = 0
-        for em in self.graph.edge_masks:
-            if em & seen:
-                return False
-            seen |= em
-        return True
-
-
-@dataclass(frozen=True)
 class QuasiBipartition:
     """Certificate that a hypergraph is quasi-bipartite.
 
@@ -242,23 +206,6 @@ class QuasiBipartition:
     b_side: VertexSet
     link_matchings: dict[int, tuple[tuple[int, ...], ...]] = field(hash=False)
 
-    def verify(self, g: Hypergraph) -> bool:
-        """Re-check both conditions from scratch against g."""
-        if self.a_side | self.b_side != frozenset(range(g.n)):
-            return False
-        if self.a_side & self.b_side:
-            return False
-        for e in g.edges:
-            if sum(1 for v in e if v in self.a_side) != 1:
-                return False
-        for a in self.a_side:
-            lk = g.link(a)
-            if not lk.is_matching():
-                return False
-            if self.link_matchings.get(a, ()) != lk.edges:
-                return False
-        return True
-
 
 def quasi_bipartition(g: Hypergraph) -> QuasiBipartition | None:
     """Search for an (A, B) partition satisfying both quasi-bipartite conditions.
@@ -268,60 +215,64 @@ def quasi_bipartition(g: Hypergraph) -> QuasiBipartition | None:
     in lexicographic order and representatives tried in increasing vertex
     order, so the certificate returned is deterministic.  Returns None when no
     valid partition exists.
+
+    Whether a vertex's link is a matching depends on g alone, so one pass
+    over the edges finds the vertices whose link is not, and the search never
+    places them in A.  A vertex placed in A stays in A below that node, so
+    every branch this filter cuts holds no valid leaf, and the first
+    certificate found is the one the unfiltered search finds first.  The
+    search keeps one frame per decided edge in a list, not on the call
+    stack, so no input reaches Python's recursion limit.
     """
     r = g.uniformity()
     if g.num_edges and (r is None or r < 2):
         raise InvalidArgumentError(
             "quasi_bipartition requires an r-uniform hypergraph with r >= 2")
 
-    side: list[str | None] = [None] * g.n
-    edges = g.edges
+    edge_masks = g.edge_masks
+    # bad = the vertices whose link is not a matching: two of their edges
+    # share a vertex besides them
+    seen = [0] * g.n
+    bad = 0
+    for em, e in zip(edge_masks, g.edges):
+        for v in e:
+            rest = em ^ (1 << v)
+            if seen[v] & rest:
+                bad |= 1 << v
+            seen[v] |= rest
 
-    def complete() -> QuasiBipartition | None:
-        # the backtracking gives every edge exactly one A-vertex, so only the
-        # matching condition on the links is left to check
-        a_side = frozenset(v for v in range(g.n) if side[v] == "A")
-        b_side = frozenset(range(g.n)) - a_side
-        matchings = {}
-        for a in a_side:
-            lk = g.link(a)
-            if not lk.is_matching():
-                return None
-            matchings[a] = lk.edges
-        return QuasiBipartition(a_side, b_side, matchings)
-
-    def backtrack(i: int) -> QuasiBipartition | None:
-        if i == len(edges):
-            return complete()
-        e = edges[i]
-        a_here = [v for v in e if side[v] == "A"]
-        if len(a_here) > 1:
+    # frames[i] = [candidates left for edge i, A before edge i, B before it]
+    frames: list[list[int]] = []
+    a_mask = b_mask = 0
+    while len(frames) < len(edge_masks):
+        em = edge_masks[len(frames)]
+        here = em & a_mask
+        if here:  # an edge with one A-vertex takes it; with two, none
+            cands = 0 if here & (here - 1) else here
+        else:
+            cands = em & ~b_mask & ~bad
+        frames.append([cands, a_mask, b_mask])
+        while frames:
+            frame = frames[-1]
+            if frame[0]:
+                rep = frame[0] & -frame[0]
+                frame[0] ^= rep
+                a_mask = frame[1] | rep
+                b_mask = frame[2] | (edge_masks[len(frames) - 1] ^ rep)
+                break
+            frames.pop()
+        else:
             return None
-        reps = a_here if a_here else [v for v in e if side[v] is None]
-        for rep in reps:
-            changes = []
-            ok = True
-            if side[rep] is None:
-                side[rep] = "A"
-                changes.append(rep)
-            for v in e:
-                if v == rep:
-                    continue
-                if side[v] == "A":
-                    ok = False
-                    break
-                if side[v] is None:
-                    side[v] = "B"
-                    changes.append(v)
-            if ok:
-                found = backtrack(i + 1)
-                if found is not None:
-                    return found
-            for v in changes:
-                side[v] = None
-        return None
 
-    return backtrack(0)
+    a_side = vertices_of(a_mask)
+    # each edge has one A-vertex, and removing it keeps the edges' lex order
+    matchings: dict[int, list[tuple[int, ...]]] = {a: [] for a in a_side}
+    for em, e in zip(edge_masks, g.edges):
+        a = (em & a_mask).bit_length() - 1
+        matchings[a].append(tuple(u for u in e if u != a))
+    a_set = frozenset(a_side)
+    return QuasiBipartition(a_set, frozenset(range(g.n)) - a_set,
+                            {a: tuple(rem) for a, rem in matchings.items()})
 
 
 def disjoint_union(gs: Iterable[Hypergraph]) -> Hypergraph:

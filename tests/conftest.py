@@ -30,6 +30,35 @@ def brute_count(g: Hypergraph) -> int:
     return total
 
 
+def link_edges(g: Hypergraph, v: int) -> tuple[tuple[int, ...], ...]:
+    """The link of v: the remainders e - {v} of v's edges, sorted."""
+    return tuple(sorted(tuple(u for u in e if u != v) for e in g.edges if v in e))
+
+
+def is_matching(edges) -> bool:
+    """True iff the edges are pairwise disjoint."""
+    return all(not set(e) & set(f) for e, f in itertools.combinations(edges, 2))
+
+
+def reference_verify_certificate(cert, g: Hypergraph) -> bool:
+    """Re-check a quasi-bipartite certificate against g from scratch: (A, B)
+    partitions the vertices, every edge meets A once, and each A-vertex's
+    link is a matching, recorded in cert.link_matchings."""
+    if cert.a_side | cert.b_side != frozenset(range(g.n)):
+        return False
+    if cert.a_side & cert.b_side:
+        return False
+    if any(len(set(e) & cert.a_side) != 1 for e in g.edges):
+        return False
+    if set(cert.link_matchings) != cert.a_side:
+        return False
+    for a in cert.a_side:
+        link = link_edges(g, a)
+        if not is_matching(link) or cert.link_matchings[a] != link:
+            return False
+    return True
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperind import (build_hrd, cli, random_quasi_bipartite,
+from hyperind import (build_hrd, build_matching, cli, random_quasi_bipartite,
                       write_hypergraph)
 from hyperind.cli import main
 
@@ -109,6 +109,15 @@ class TestVerifyProof:
                            stdin=hg, monkeypatch=monkeypatch)
         assert code == 2
         assert "quasi-bipartite" in err
+
+    def test_long_matching_reaches_the_cap(self, capsys, monkeypatch):
+        # 1,200 edges, more than the recursion limit: the recogniser certifies
+        # the matching and the entropy cap rejects it
+        hg = write_hypergraph(build_matching(2, 1200))
+        code, out, err = run(capsys, ["verify-proof", "-"],
+                             stdin=hg, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "error: joint_distribution capped at n <= 24, got n = 2400\n"
 
 
 #: ``verify-proof`` output, byte for byte, as the float-loop entropy gave it

@@ -8,6 +8,8 @@ from hyperind import (Hypergraph, InvalidArgumentError, build_complete_r_partite
                       canonical_form, quasi_bipartition, random_quasi_bipartite)
 from hyperind.counting import count_brute
 
+from conftest import is_matching, link_edges, reference_verify_certificate
+
 
 def is_linear(g: Hypergraph) -> bool:
     for e1, e2 in itertools.combinations(g.edges, 2):
@@ -52,10 +54,10 @@ class TestBuildHrd:
         for r, d in [(3, 2), (3, 3), (4, 2)]:
             g, layout = build_hrd(r, d)
             for a in layout.marked:
-                lk = g.link(a)
-                assert lk.is_matching()
-                assert len(lk.edges) == d
-                assert len(lk.span) == (r - 1) * d
+                link = link_edges(g, a)
+                assert is_matching(link)
+                assert len(link) == d
+                assert len({v for e in link for v in e}) == (r - 1) * d
 
     def test_bad_args(self):
         with pytest.raises(InvalidArgumentError):
@@ -135,7 +137,7 @@ class TestRandomQuasiBipartite:
             assert g.uniformity() == r
             assert g.regularity() == d
             cert = quasi_bipartition(g)
-            assert cert is not None and cert.verify(g)
+            assert cert is not None and reference_verify_certificate(cert, g)
 
     def test_deterministic_under_seed(self):
         a = random_quasi_bipartite(3, 2, 4, random.Random(11))

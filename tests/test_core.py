@@ -1,15 +1,20 @@
 import itertools
 import random
+import sys
+import time
 
 import pytest
 
 from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
-                      InvalidArgumentError, build_complete_r_partite,
-                      build_hrd, build_transversal_design_3, canonical_form,
-                      disjoint_union, enumerate_regular, quasi_bipartition)
+                      InvalidArgumentError, QuasiBipartition,
+                      build_complete_r_partite, build_hrd, build_matching,
+                      build_transversal_design_3, canonical_form,
+                      disjoint_union, enumerate_regular, quasi_bipartition,
+                      random_quasi_bipartite)
 from hyperind.counting import count_brute
 
-from conftest import brute_is_independent, random_hypergraph
+from conftest import (brute_is_independent, is_matching, link_edges,
+                      random_hypergraph, reference_verify_certificate)
 
 
 def triangle():
@@ -72,6 +77,49 @@ def reference_canonical_form(g: Hypergraph) -> Hypergraph:
     return Hypergraph(n, best_edges)
 
 
+def reference_quasi_bipartition(g: Hypergraph) -> QuasiBipartition | None:
+    """quasi_bipartition without the link filter: a recursive search over
+    each edge's A-vertex, in lexicographic edge order and increasing vertex
+    order, that checks the links only at the leaves."""
+    r = g.uniformity()
+    if g.num_edges and (r is None or r < 2):
+        raise InvalidArgumentError("not r-uniform with r >= 2")
+    side: list[str | None] = [None] * g.n
+    edges = g.edges
+
+    def complete() -> QuasiBipartition | None:
+        a_side = frozenset(v for v in range(g.n) if side[v] == "A")
+        links = {a: link_edges(g, a) for a in a_side}
+        if not all(is_matching(link) for link in links.values()):
+            return None
+        return QuasiBipartition(a_side, frozenset(range(g.n)) - a_side, links)
+
+    def backtrack(i: int) -> QuasiBipartition | None:
+        if i == len(edges):
+            return complete()
+        e = edges[i]
+        a_here = [v for v in e if side[v] == "A"]
+        if len(a_here) > 1:
+            return None
+        for rep in a_here or [v for v in e if side[v] is None]:
+            changes = []
+            if side[rep] is None:
+                side[rep] = "A"
+                changes.append(rep)
+            for v in e:
+                if v != rep and side[v] is None:
+                    side[v] = "B"
+                    changes.append(v)
+            found = backtrack(i + 1)
+            if found is not None:
+                return found
+            for v in changes:
+                side[v] = None
+        return None
+
+    return backtrack(0)
+
+
 def random_mixed_hypergraph(n: int, rng: random.Random) -> Hypergraph:
     """Random edges of sizes 1..4 on n vertices; some vertices stay isolated."""
     edges = []
@@ -95,39 +143,6 @@ class TestDegree:
     def test_no_edges(self):
         g = Hypergraph(4)
         assert g.degrees() == [0, 0, 0, 0]
-
-
-class TestLink:
-    def test_bipartite_graph(self):
-        lk = k22().link(0)
-        assert lk.edges == ((2,), (3,))
-        assert lk.span == {2, 3}
-
-    def test_hrd_marked_is_matching(self):
-        g, layout = build_hrd(3, 2)
-        for v in layout.marked:
-            lk = g.link(v)
-            assert len(lk.edges) == 2
-            assert lk.is_matching()
-            assert all(len(e) == 2 for e in lk.edges)
-
-    def test_single_edge(self):
-        g = Hypergraph(3, [(0, 1, 2)])
-        assert g.link(1).edges == ((0, 2),)
-
-    def test_non_uniform_rejected(self):
-        g = Hypergraph(4, [(0, 1), (0, 1, 2)])
-        with pytest.raises(InvalidArgumentError):
-            g.link(0)
-
-    def test_regular_link_shape(self):
-        # d edges of size r-1 at every vertex of H(r,d)
-        for r, d in [(2, 2), (3, 2), (3, 3), (4, 2)]:
-            g, _ = build_hrd(r, d)
-            for v in range(g.n):
-                lk = g.link(v)
-                assert len(lk.edges) == d == g.degrees()[v]
-                assert all(len(e) == r - 1 for e in lk.edges)
 
 
 class TestIsIndependent:
@@ -161,26 +176,66 @@ class TestIsIndependent:
             assert g.is_independent(s) == expected
 
 
+def gadget() -> Hypergraph:
+    """Three triples at vertex 0: every edge can take one A-vertex, but 0's
+    link is a path and the other choices leave a two-edge link too."""
+    return Hypergraph(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
+
+
+def recogniser_inputs() -> list[Hypergraph]:
+    """The recogniser inputs of these tests, and seeded random ones."""
+    gs = [triangle(), k22(), cycle(5), gadget(),
+          Hypergraph(4, list(itertools.combinations(range(4), 3)))]
+    gs += [build_hrd(r, d)[0] for r, d in
+           [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 1)]]
+    rng = random.Random(20260823)
+    gs += [random_hypergraph(7, 3, rng, max_edges=6) for _ in range(30)]
+    rng = random.Random(16)
+    for _ in range(3000):
+        r = rng.randint(2, 4)
+        gs.append(random_hypergraph(rng.randint(r, 10), r, rng, max_edges=9))
+    for r, d, num_a in [(2, 1, 3), (2, 2, 4), (3, 2, 4), (3, 2, 5), (4, 1, 2),
+                        (3, 3, 4), (4, 2, 3)]:
+        for _ in range(10):
+            g = random_quasi_bipartite(r, d, num_a, rng)
+            gs += [g, relabeled(g, rng)]
+    return gs
+
+
 class TestQuasiBipartition:
     def test_hrd(self):
         g, layout = build_hrd(3, 2)
         cert = quasi_bipartition(g)
         assert cert is not None
         assert cert.a_side == layout.marked
-        assert cert.verify(g)
+        assert reference_verify_certificate(cert, g)
 
     def test_hrd_family(self):
         for r, d in [(2, 1), (2, 3), (3, 3), (4, 2), (5, 1)]:
             g, layout = build_hrd(r, d)
             cert = quasi_bipartition(g)
-            assert cert is not None and cert.verify(g)
+            assert cert is not None and reference_verify_certificate(cert, g)
+
+    def test_link_matchings(self):
+        assert quasi_bipartition(k22()).link_matchings == {0: ((2,), (3,)),
+                                                            1: ((2,), (3,))}
+        cert = quasi_bipartition(Hypergraph(3, [(0, 1, 2)]))
+        assert cert.link_matchings == {0: ((1, 2),)}
+        # each A-vertex of H(r,d) has d pairwise disjoint remainders of size r-1
+        for r, d in [(2, 2), (3, 2), (3, 3), (4, 2)]:
+            g, _ = build_hrd(r, d)
+            cert = quasi_bipartition(g)
+            for a in cert.a_side:
+                link = cert.link_matchings[a]
+                assert len(link) == d == g.degrees()[a]
+                assert all(len(e) == r - 1 for e in link)
+                assert is_matching(link)
 
     def test_triangle_is_not(self):
         assert quasi_bipartition(triangle()) is None
 
     def test_odd_cycle_is_not(self):
-        c5 = Hypergraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert quasi_bipartition(c5) is None
+        assert quasi_bipartition(cycle(5)) is None
 
     def test_k22_matches_brute_force(self):
         # oracle: try all 2^4 partitions directly against the two conditions
@@ -189,7 +244,7 @@ class TestQuasiBipartition:
         def valid(a_side):
             if any(len(set(e) & a_side) != 1 for e in g.edges):
                 return False
-            return all(g.link(a).is_matching() for a in a_side)
+            return all(is_matching(link_edges(g, a)) for a in a_side)
 
         valid_sides = [frozenset(a) for k in range(5)
                        for a in itertools.combinations(range(4), k)
@@ -206,15 +261,55 @@ class TestQuasiBipartition:
     def test_non_matching_link_rejected(self):
         # condition I is satisfiable in several ways, but every choice of
         # A-side leaves some vertex with a non-matching link
-        g = Hypergraph(5, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
-        assert quasi_bipartition(g) is None
+        assert quasi_bipartition(gadget()) is None
+
+    def test_non_uniform_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="r-uniform"):
+            quasi_bipartition(Hypergraph(4, [(0, 1), (0, 1, 2)]))
 
     def test_certificate_verifies_from_scratch(self, rng):
         for _ in range(30):
             g = random_hypergraph(7, 3, rng, max_edges=6)
             cert = quasi_bipartition(g) if g.uniformity() == 3 else None
             if cert is not None:
-                assert cert.verify(g)
+                assert reference_verify_certificate(cert, g)
+
+    def test_agrees_with_reference_search(self):
+        # the same certificate, or None, as the unfiltered recursive search
+        certified = 0
+        for g in recogniser_inputs():
+            cert = quasi_bipartition(g)
+            ref = reference_quasi_bipartition(g)
+            if ref is None:
+                assert cert is None, g
+            else:
+                certified += 1
+                assert cert is not None, g
+                assert (cert.a_side, cert.b_side, cert.link_matchings) == \
+                    (ref.a_side, ref.b_side, ref.link_matchings), g
+                assert reference_verify_certificate(cert, g)
+        assert certified > 1000
+
+    def test_long_inputs_do_not_recurse(self):
+        # one search frame per edge, far more edges than the recursion limit
+        c2000 = cycle(2000)
+        matching = build_matching(2, 1200)
+        assert sys.getrecursionlimit() < matching.num_edges
+        cert = quasi_bipartition(c2000)
+        assert cert is not None and cert.a_side == frozenset(range(0, 2000, 2))
+        assert reference_verify_certificate(cert, c2000)
+        cert = quasi_bipartition(matching)
+        assert cert is not None and cert.a_side == frozenset(range(0, 2400, 2))
+        assert reference_verify_certificate(cert, matching)
+        assert quasi_bipartition(cycle(2001)) is None
+
+    def test_bad_links_are_never_tried(self):
+        # without the link filter each copy of the gadget multiplies the
+        # search by about 3.2, so 16 copies would take about half an hour
+        g = disjoint_union([gadget()] * 16)
+        start = time.perf_counter()
+        assert quasi_bipartition(g) is None
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDisjointUnion:

@@ -24,6 +24,8 @@ from hyperind.verification import (PROOF_EPS, ConjectureVerdict, ProofStep,
                                    _power_sum, _tighter,
                                    infer_uniform_regular, is_union_of_kdd)
 
+from conftest import link_edges
+
 
 def cycle(n):
     return Hypergraph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -768,8 +770,8 @@ class TestProofSteps:
             from hyperind import quasi_bipartition
             cert = quasi_bipartition(g)
             for a in sorted(cert.a_side):
-                lk = g.link(a)
-                span = sorted(lk.span)
+                link = cert.link_matchings[a]
+                span = sorted({v for e in link for v in e})
                 import itertools
                 for size in range(len(span) + 1):
                     for sub in itertools.combinations(span, size):
@@ -778,7 +780,7 @@ class TestProofSteps:
                         # ground truth: extension counting in g
                         lam_ext = 2 if g.is_independent(frozenset(sub) | {a}) else 1
                         # link-local rule: 1 iff some full link edge inside I
-                        lam_link = 1 if any(set(e) <= set(sub) for e in lk.edges) else 2
+                        lam_link = 1 if any(set(e) <= set(sub) for e in link) else 2
                         assert lam_ext == lam_link
 
     def test_lambda_sum_identity(self):
@@ -787,8 +789,7 @@ class TestProofSteps:
         for r, d in [(3, 2), (3, 3), (4, 2)]:
             g, layout = build_hrd(r, d)
             for a in sorted(layout.marked):
-                lk = g.link(a)
-                span = sorted(lk.span)
+                span = sorted({v for e in link_edges(g, a) for v in e})
                 import itertools
                 lam_sum = 0
                 for size in range(len(span) + 1):
