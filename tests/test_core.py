@@ -145,6 +145,42 @@ class TestDegree:
         assert g.degrees() == [0, 0, 0, 0]
 
 
+class TestLink:
+    """The links a quasi-bipartite certificate records for its A-vertices."""
+
+    def test_bipartite_graph(self):
+        cert = quasi_bipartition(k22())
+        assert cert.link_matchings == {0: ((2,), (3,)), 1: ((2,), (3,))}
+        assert set().union(*cert.link_matchings[0]) == {2, 3}
+
+    def test_hrd_marked_is_matching(self):
+        g, layout = build_hrd(3, 2)
+        cert = quasi_bipartition(g)
+        assert cert.a_side == layout.marked
+        for v in layout.marked:
+            link = cert.link_matchings[v]
+            assert len(link) == 2
+            assert is_matching(link)
+            assert all(len(e) == 2 for e in link)
+
+    def test_single_edge(self):
+        g = Hypergraph(3, [(0, 1, 2)])
+        assert quasi_bipartition(g).link_matchings == {0: ((1, 2),)}
+
+    def test_regular_link_shape(self):
+        # d edges of size r-1 at every vertex of H(r,d); the certificate
+        # records exactly those links for its A-vertices
+        for r, d in [(2, 2), (3, 2), (3, 3), (4, 2)]:
+            g, _ = build_hrd(r, d)
+            for v in range(g.n):
+                link = link_edges(g, v)
+                assert len(link) == d == g.degrees()[v]
+                assert all(len(e) == r - 1 for e in link)
+            cert = quasi_bipartition(g)
+            assert cert.link_matchings == {a: link_edges(g, a)
+                                           for a in cert.a_side}
+
+
 class TestIsIndependent:
     def test_proper_subset_of_edge(self):
         g = Hypergraph(3, [(0, 1, 2)])
@@ -215,21 +251,6 @@ class TestQuasiBipartition:
             g, layout = build_hrd(r, d)
             cert = quasi_bipartition(g)
             assert cert is not None and reference_verify_certificate(cert, g)
-
-    def test_link_matchings(self):
-        assert quasi_bipartition(k22()).link_matchings == {0: ((2,), (3,)),
-                                                            1: ((2,), (3,))}
-        cert = quasi_bipartition(Hypergraph(3, [(0, 1, 2)]))
-        assert cert.link_matchings == {0: ((1, 2),)}
-        # each A-vertex of H(r,d) has d pairwise disjoint remainders of size r-1
-        for r, d in [(2, 2), (3, 2), (3, 3), (4, 2)]:
-            g, _ = build_hrd(r, d)
-            cert = quasi_bipartition(g)
-            for a in cert.a_side:
-                link = cert.link_matchings[a]
-                assert len(link) == d == g.degrees()[a]
-                assert all(len(e) == r - 1 for e in link)
-                assert is_matching(link)
 
     def test_triangle_is_not(self):
         assert quasi_bipartition(triangle()) is None
