@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -154,8 +155,8 @@ def _fits(prefix, n, d):
 
 class TestForcedLastEdge:
     """The last edge is looked up, not scanned for, inside the candidate loop
-    of the last-but-one level; these prefixes start the search at that
-    level or the one after it."""
+    of the last-but-one level, and the last two and three edges come from
+    memo tables; these prefixes start the search at each of those levels."""
 
     SPECS = [(2, 1, 6), (2, 2, 5), (2, 2, 6), (3, 2, 6), (2, 3, 6), (4, 2, 6)]
 
@@ -191,6 +192,31 @@ class TestForcedLastEdge:
         assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
                               for r, d, n in self.SPECS)
 
+    def test_every_prefix_of_m_minus_3_edges(self):
+        emitted = 0
+        for r, d, n in self.SPECS:
+            m = EnumSpec(r=r, d=d, n=n).num_edges
+            candidates = list(itertools.combinations(range(n), r))
+            for prefix in itertools.combinations(candidates, m - 3):
+                if not _fits(prefix, n, d):
+                    continue
+                spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
+                got = collect(spec)
+                assert got == reference_emissions(spec), prefix
+                emitted += len(got)
+        assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
+                              for r, d, n in self.SPECS)
+
+    def test_degree_above_a_byte(self):
+        # the complete 256-uniform hypergraph on 257 vertices is 256-regular;
+        # residuals up to 256 do not fit the memo's byte key
+        n = 257
+        edges = list(itertools.combinations(range(n), n - 1))
+        for left in (2, 3):
+            spec = EnumSpec(r=n - 1, d=n - 1, n=n, prefix=edges[:-left])
+            assert collect(spec) == reference_emissions(spec) \
+                == [Hypergraph(n, edges)]
+
     def test_prefix_of_m_edges(self):
         for r, d, n in self.SPECS:
             for g in collect(EnumSpec(r=r, d=d, n=n)):
@@ -218,6 +244,37 @@ class TestForcedLastEdge:
             assert len(prefix) == spec.num_edges - 1
             assert collect(spec) == reference_emissions(spec) == []
             assert enumerate_regular(spec) == 0
+
+
+class TestMemoLifetime:
+    """The memo tables live for one call and are freed when it returns."""
+
+    def test_no_reference_cycle_left(self):
+        spec = EnumSpec(r=3, d=2, n=6)
+        gc.disable()
+        try:
+            gc.collect()
+            assert enumerate_regular(spec) == 75
+            assert gc.collect() == 0
+            assert len(collect(spec)) == 75
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_visit_raising_mid_run(self):
+        spec = EnumSpec(r=2, d=2, n=7)
+        seen = []
+
+        def visit(g):
+            if len(seen) == 100:
+                raise RuntimeError("stop")
+            seen.append(g)
+
+        with pytest.raises(RuntimeError):
+            enumerate_regular(spec, visit)
+        assert seen == reference_emissions(spec)[:100]
+        for after in (spec, EnumSpec(r=3, d=2, n=6)):
+            assert collect(after) == reference_emissions(after)
 
 
 class TestUpToIso:
