@@ -35,8 +35,9 @@ flattening them into three-edge suffixes, which would take more memory.
 Each table lists its entries in the order the search would find them, so a
 node replays its completions in lexicographic order and the emission order
 is unchanged.  The tables live for one call.  The depth is a constant 3,
-not an option: each further level nests the replay loop once more, and a
-fourth level gained on r=2 d=2 n=10 but not on r=3 d=2 n=9 or r=4 d=2 n=10.
+not an option.  A fourth nested table ran the sweep ranges about a fifth
+faster and r=2 d=2 n=10 a quarter faster, but not r=3 d=2 n=9 or r=4 d=2
+n=10; it is left for a measured change of its own.
 
 Every labeled graph is emitted with its (r, d) passed to
 ``Hypergraph._from_normalized``, so ``infer_uniform_regular`` (and with it
