@@ -149,19 +149,17 @@ def enumerate_regular(spec: EnumSpec,
         if visit is not None:
             visit(g)
 
-    # the completions of a node with two or three edges left, keyed by its
-    # residuals and the first candidate its next edge may take; bytes holds
-    # every residual when d < 256, and a tuple holds any
-    key_of = bytes if spec.d < 256 else tuple
-    last_two_memo: dict[tuple[int, bytes | tuple[int, ...]], list] = {}
-    last_three_memo: dict[tuple[int, bytes | tuple[int, ...]], list] = {}
+    # the completions of a node with two or three edges left, keyed by the
+    # first candidate its next edge may take and its residuals
+    last_two_memo: dict[tuple[int, tuple[int, ...]], list] = {}
+    last_three_memo: dict[tuple[int, tuple[int, ...]], list] = {}
 
     def last_two(i: int, full: int) -> list:
         """The (edge, forced last edge) pairs that complete this node."""
         # every vertex below v is full, so the next edge starts at v
         v = (~full & (full + 1)).bit_length() - 1
         start = max(i, block[v])
-        key = (start, key_of(residual))
+        key = (start, tuple(residual))
         pairs = last_two_memo.get(key)
         if pairs is None:
             # after the next edge the residuals sum to r, so the vertices not
@@ -187,7 +185,7 @@ def enumerate_regular(spec: EnumSpec,
         completion of this node."""
         v = (~full & (full + 1)).bit_length() - 1
         start = max(i, block[v])
-        key = (start, key_of(residual))
+        key = (start, tuple(residual))
         entries = last_three_memo.get(key)
         if entries is None:
             entries = []

@@ -208,8 +208,8 @@ class TestForcedLastEdge:
                               for r, d, n in self.SPECS)
 
     def test_degree_above_a_byte(self):
-        # the complete 256-uniform hypergraph on 257 vertices is 256-regular;
-        # residuals up to 256 do not fit the memo's byte key
+        # the complete 256-uniform hypergraph on 257 vertices is 256-regular,
+        # entered at both memo levels with residuals above 255
         n = 257
         edges = list(itertools.combinations(range(n), n - 1))
         for left in (2, 3):
