@@ -53,6 +53,11 @@ def ind_hrd_formula(r: int, d: int) -> int:
     return 2 ** ((r - 1) * d) + (2 ** d - 1) * (2 ** (r - 1) - 1) ** d
 
 
+def brute_cap_error(n: int, caps: Caps) -> CapacityError:
+    """The error ``count_brute`` raises on n > caps.brute vertices."""
+    return CapacityError(f"count_brute capped at n <= {caps.brute}, got n = {n}")
+
+
 def count_brute(g: Hypergraph, caps: Caps = Caps()) -> int:
     """Count independent sets by checking every one of the 2^n subsets.
 
@@ -71,8 +76,7 @@ def count_brute(g: Hypergraph, caps: Caps = Caps()) -> int:
     holds nothing for larger n.
     """
     if g.n > caps.brute:
-        raise CapacityError(
-            f"count_brute capped at n <= {caps.brute}, got n = {g.n}")
+        raise brute_cap_error(g.n, caps)
     if g.n <= _CACHED_N:
         patterns = _edge_patterns(g.n)
         hit = 0

@@ -24,6 +24,14 @@ marginal of X_B, and H(X_a, X_B) from that marginal's free weight: no
 entropy sums of X_B and of X_{a} u X_B are exact integer sums of k 2^k
 (``_power_sum``), turned into entropies by ``_entropy_from_sum``.
 
+Given s = J & V(L(a)), a free a is a fair coin with lambda(s) = 2 and a
+blocked a is 0 with lambda(s) = 1, so step 4's bound
+H(X_a | X_{V(L(a))} = s) <= log2 lambda(s) is read from the free mask and
+holds with equality at every s.  Each link is d disjoint (r-1)-sets and B
+spans no edge, so the exact steps 6 and 7 hold with equality on every
+d-regular quasi-bipartite input; ``count_brute`` still counts each link
+as the independent oracle for both.
+
 A marginal projects the configurations onto a vertex subset and sums their
 weights exactly in int64 (a stable sort, then ``np.add.reduceat``), so no
 Python loop runs over the configurations.  Counts leave the arrays as
@@ -39,11 +47,11 @@ from functools import lru_cache
 from math import gcd, log2
 from typing import Iterable
 
-from .constructions import build_complete_r_partite, build_hrd, \
+from .constructions import build_complete_r_partite, \
     build_transversal_design_3
 from .core import Caps, Hypergraph, mask_of, quasi_bipartition, vertices_of
-from .counting import count, count_brute, independent_set_masks, \
-    ind_hrd_formula
+from .counting import brute_cap_error, count, count_brute, \
+    independent_set_masks, ind_hrd_formula
 from .errors import CapacityError, InvalidArgumentError
 
 PROOF_EPS = 1e-9
@@ -169,12 +177,16 @@ def compare_constructions(r: int, t: int | None = None, m: int | None = None,
         if r < 2 or t < 1:
             raise InvalidArgumentError(f"need r >= 2 and t >= 1, got r={r}, t={t}")
         d = t ** (r - 1)
+        if r * t > caps.brute:  # before the rival is built
+            raise brute_cap_error(r * t, caps)
         return _compare("complete-r-partite", r, d,
                         build_complete_r_partite(r, t), caps)
     if r != 3:
         raise InvalidArgumentError("transversal designs are implemented for r = 3 only")
     if m < 1:
         raise InvalidArgumentError(f"need m >= 1, got m={m}")
+    if 3 * m > caps.brute:
+        raise brute_cap_error(3 * m, caps)
     return _compare("transversal-design-3", 3, m,
                     build_transversal_design_3(m), caps)
 
@@ -295,15 +307,17 @@ def marginal(dist: SubsetDistribution,
 def _a_vertex_marginals(dist_b: SubsetDistribution, b_sum: int, a: int,
                         span_mask: int, link: Iterable[Iterable[int]]
                         ) -> tuple[SubsetDistribution, SubsetDistribution,
-                                   float]:
+                                   np.ndarray, float]:
     """For one A-vertex a: the span marginal m of X_B, the X_{a} u X_span
-    marginal and H(X_a, X_B), all read from m.
+    marginal, the free mask over m's configurations and H(X_a, X_B), all
+    read from m.
 
     Vertex a is blocked in J when an edge of its link lies inside J, and J
     keeps its weight 2^f(J).  Otherwise a is one of J's f(J) free vertices,
     and the weight splits evenly between J and J + a.  Whether a is free
-    depends on s = J & span only, so the X_{a} u X_span weights are m(s)/2 on
-    s and on s + a when s is free, and m(s) on s otherwise.  The X_{a} u X_B
+    depends on s = J & span only; the free mask holds it per configuration
+    of m, in m's order.  The X_{a} u X_span weights are m(s)/2 on s and on
+    s + a when s is free, and m(s) on s otherwise.  The X_{a} u X_B
     weights are 2^f(J) and 2^(f(J)-1), so their sum of w log2 w is
     ``b_sum`` (the sum over X_B, see ``_power_sum``) less the free weight
     W = sum of m(s) over free s, an exact integer.  This equals ``entropy``
@@ -323,7 +337,7 @@ def _a_vertex_marginals(dist_b: SubsetDistribution, b_sum: int, a: int,
                                 configs=configs[order], counts=counts[order],
                                 total=span.total)
     w_free = int(span.counts[free].sum())
-    return span, a_span, _entropy_from_sum(dist_b.total, b_sum - w_free)
+    return span, a_span, free, _entropy_from_sum(dist_b.total, b_sum - w_free)
 
 
 def _power_sum(counts: np.ndarray) -> int | None:
@@ -362,15 +376,6 @@ def entropy(dist: SubsetDistribution) -> float:
         for w in dist.counts[dist.counts > 1].tolist():
             s += w * log2(w)
     return _entropy_from_sum(dist.total, s)
-
-
-def _binary_entropy(w1: int, w0: int) -> float:
-    total = w1 + w0
-    acc = 0.0
-    for w in (w1, w0):
-        if 0 < w < total:
-            acc -= (w / total) * log2(w / total)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +436,15 @@ def verify_proof_steps(g: Hypergraph, caps: Caps = Caps()) -> ProofStepReport:
     7. link bound (exact): ind(L(a)) <= (2^(r-1) - 1)^d;
     8. final: H(X) <= (n/rd) log2 ind(H(r,d)).
 
+    Step 4 is read from the free mask of ``_a_vertex_marginals``: given I, a
+    free a is a fair coin and lambda(I) = 2, a blocked a is 0 and
+    lambda(I) = 1, so the bound holds with equality at every configuration.
+    Each link is d disjoint (r-1)-sets of B and B spans no edge, so steps 6
+    and 7 hold with equality on every d-regular quasi-bipartite input;
+    ``count_brute`` still counts each link, as the independent oracle.
+
     The float inequalities are checked at a tolerance of PROOF_EPS bits.
     """
-    import numpy as np
-
     r, d = infer_uniform_regular(g)
     cert = quasi_bipartition(g)
     if cert is None:
@@ -443,103 +453,75 @@ def verify_proof_steps(g: Hypergraph, caps: Caps = Caps()) -> ProofStepReport:
 
     a_side = sorted(cert.a_side)
     b_mask = mask_of(cert.b_side)
-    a_mask = mask_of(cert.a_side)
     # X_B with weight 2^f(J) on each J, which sum to ind(G); X is uniform
     dist_b = joint_distribution(g, caps, onto=b_mask)
     ind_g = dist_b.total
     h_x = log2(ind_g)
-
-    span_masks = {a: mask_of(v for e in cert.link_matchings[a] for v in e)
-                  for a in a_side}
-    # per a: the span marginal, X_{a} u X_span and H(X_a, X_B), from one
-    # projection of X_B; each distinct marginal's entropy is computed once
-    # and the steps reuse it
+    h_b = entropy(dist_b)
     b_sum = _power_sum(dist_b.counts)  # exact: every weight is 2^f(J)
-    entropies = {b_mask: entropy(dist_b), a_mask | b_mask: h_x}
-    span_margs: dict[int, SubsetDistribution] = {}
-    a_span_margs: dict[int, SubsetDistribution] = {}
+
+    # one pass over A: per a, the span marginal, X_{a} u X_span, the free
+    # mask and H(X_a, X_B) come from one projection of X_B; steps (4)-(7)
+    # each keep their tightest (lhs, rhs)
+    cover = {b: 0 for b in cert.b_side}
+    h_spans: list[float] = []
+    sub_terms: list[float] = []  # H(X_a | X_B) per a
+    findings: list[str] = []
+    worst_eq = 0.0
+    worst_lambda = worst_jensen = worst_count = worst_link = None
     for a in a_side:
-        span_margs[a], a_span_margs[a], h_a_b = _a_vertex_marginals(
-            dist_b, b_sum, a, span_masks[a], cert.link_matchings[a])
-        entropies.setdefault((1 << a) | b_mask, h_a_b)
-        for m in (span_margs[a], a_span_margs[a]):
-            if m.domain not in entropies:
-                entropies[m.domain] = entropy(m)
-    h = entropies.__getitem__
+        link = cert.link_matchings[a]
+        smask = mask_of(v for e in link for v in e)
+        span, a_span, free, h_a_b = _a_vertex_marginals(dist_b, b_sum, a,
+                                                        smask, link)
+        for b in vertices_of(smask):
+            cover[b] += 1
+        h_span = entropy(span)
+        h_spans.append(h_span)
+        sub_terms.append(h_a_b - h_b)
+        diff = abs(sub_terms[-1] - (entropy(a_span) - h_span))
+        worst_eq = max(worst_eq, diff)
+        if diff > PROOF_EPS:
+            findings.append(
+                f"conditioning reduction differs by {diff:.3e} bits at vertex {a}")
+        # (4) H(X_a | X_span = s) = log2 lambda(s) at every s, so every
+        # margin is 0 and the first configuration, the empty one, is tightest
+        lams = [2 if f else 1 for f in free.tolist()]
+        worst_lambda = _tighter(worst_lambda, log2(lams[0]), log2(lams[0]))
+        # (5) Jensen
+        lam_sum = sum(lam ** d for lam in lams)
+        jensen_lhs = sum(
+            (w / span.total) * (d * log2(lam) - log2(w / span.total))
+            for w, lam in zip(span.counts.tolist(), lams))
+        worst_jensen = _tighter(worst_jensen, jensen_lhs, log2(lam_sum))
+        # (6) exact counting bound
+        link_graph = Hypergraph(g.n, link).restrict(vertices_of(smask))
+        ind_link = count_brute(link_graph, caps)
+        bound6 = 2 ** smask.bit_count() + (2 ** d - 1) * ind_link
+        worst_count = _tighter(worst_count, lam_sum, bound6)
+        # (7) exact link bound
+        worst_link = _tighter(worst_link, ind_link, (2 ** (r - 1) - 1) ** d)
 
     steps: list[ProofStep] = []
-    findings: list[str] = []
 
     # (1) exact d-cover of B by the link spans
-    cover = {b: 0 for b in cert.b_side}
-    for a in a_side:
-        for b in vertices_of(span_masks[a]):
-            cover[b] += 1
     counts = sorted(cover.values()) or [d]
     steps.append(ProofStep("cover-validity", float(counts[0]), float(counts[-1]),
                            counts[0] == d and counts[-1] == d))
 
     # (2) Shearer over the d-cover
-    h_b = h(b_mask)
-    shearer_rhs = sum(h(span_masks[a]) for a in a_side) / d
+    shearer_rhs = sum(h_spans) / d
     steps.append(ProofStep("shearer", h_b, shearer_rhs, h_b <= shearer_rhs + PROOF_EPS))
 
     # (3) subadditivity of H(X_A | X_B) and the conditioning reduction
-    h_a_given_b = h(a_mask | b_mask) - h_b
-    sub_rhs = sum(h((1 << a) | b_mask) - h_b for a in a_side)
+    h_a_given_b = h_x - h_b
+    sub_rhs = sum(sub_terms)
     steps.append(ProofStep("subadditivity", h_a_given_b, sub_rhs,
                            h_a_given_b <= sub_rhs + PROOF_EPS))
-    worst_eq = 0.0
-    for a in a_side:
-        diff = abs((h((1 << a) | b_mask) - h_b)
-                   - (h((1 << a) | span_masks[a]) - h(span_masks[a])))
-        worst_eq = max(worst_eq, diff)
-        if diff > PROOF_EPS:
-            findings.append(
-                f"conditioning reduction differs by {diff:.3e} bits at vertex {a}")
     steps.append(ProofStep("conditioning-reduction", worst_eq, 0.0, True))
 
-    # per-a data for steps (4)-(7); each step reports its tightest (lhs, rhs)
-    lambda_pass = True
-    worst_lambda = worst_jensen = worst_count = worst_link = None
-    for a in a_side:
-        smask = span_masks[a]
-        abit = 1 << a
-        marg = span_margs[a]
-        a_span = a_span_margs[a]
-        has_a = (a_span.configs & np.uint64(abit)) != 0
-        with_a = dict(zip((a_span.configs[has_a] ^ np.uint64(abit)).tolist(),
-                          a_span.counts[has_a].tolist()))
-        lambdas: dict[int, int] = {}
-        for config, w_total in marg.weights.items():
-            lam = 2 if g.is_independent(config | abit) else 1
-            lambdas[config] = lam
-            # (4) conditional entropy of X_a given the exact configuration
-            w1 = with_a.get(config, 0)
-            h_cond = _binary_entropy(w1, w_total - w1)
-            worst_lambda = _tighter(worst_lambda, h_cond, log2(lam))
-            if h_cond - log2(lam) > PROOF_EPS or lam not in (1, 2):
-                lambda_pass = False
-        # (5) Jensen
-        lam_sum = sum(lam ** d for lam in lambdas.values())
-        jensen_lhs = sum(
-            (w / marg.total) * (d * log2(lambdas[c]) - log2(w / marg.total))
-            for c, w in marg.weights.items())
-        jensen_rhs = log2(lam_sum)
-        worst_jensen = _tighter(worst_jensen, jensen_lhs, jensen_rhs)
-        # (6) exact counting bound
-        span_size = smask.bit_count()
-        link_graph = Hypergraph(g.n, cert.link_matchings[a]).restrict(
-            vertices_of(smask))
-        ind_link = count_brute(link_graph, caps)
-        bound6 = 2 ** span_size + (2 ** d - 1) * ind_link
-        worst_count = _tighter(worst_count, lam_sum, bound6)
-        # (7) exact link bound
-        bound7 = (2 ** (r - 1) - 1) ** d
-        worst_link = _tighter(worst_link, ind_link, bound7)
-
     steps.append(ProofStep("lambda-bound", worst_lambda[0], worst_lambda[1],
-                           lambda_pass))
+                           worst_lambda[0] <= worst_lambda[1] + PROOF_EPS))
     steps.append(ProofStep("jensen", worst_jensen[0], worst_jensen[1],
                            worst_jensen[0] <= worst_jensen[1] + PROOF_EPS))
     steps.append(ProofStep("counting-bound", float(worst_count[0]),

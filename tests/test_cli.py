@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hyperind import (build_hrd, build_matching, cli, random_quasi_bipartite,
-                      write_hypergraph)
+                      verification, write_hypergraph)
 from hyperind.cli import main
 
 
@@ -309,6 +309,20 @@ class TestCompare:
         assert data["hrd_power"] == "1471"
         assert data["rival_power"] == "1369"
         assert data["winner"] == "hrd"
+
+    @pytest.mark.parametrize("argv, n", [(["--r", "4", "--t", "60"], 240),
+                                         (["--r", "3", "--m", "2000"], 6000)])
+    def test_rival_past_the_brute_cap_is_never_built(self, capsys,
+                                                     monkeypatch, argv, n):
+        def refuse(*args):
+            raise AssertionError("rival built past the brute cap")
+
+        monkeypatch.delenv("HYPERIND_CAPS", raising=False)
+        for name in ("build_complete_r_partite", "build_transversal_design_3"):
+            monkeypatch.setattr(verification, name, refuse)
+        code, out, err = run(capsys, ["compare"] + argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: count_brute capped at n <= 30, got n = {n}\n"
 
     def test_requires_t_or_m(self, capsys):
         with pytest.raises(SystemExit) as exc:

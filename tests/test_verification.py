@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 from dataclasses import replace
+from math import log2
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hyperind.counting import METHODS, count, count_brute, ind_hrd_formula
 from hyperind.enumeration import first_edge_choices
 from hyperind.verification import (PROOF_EPS, ConjectureVerdict, ProofStep,
                                    ProofStepReport, SubsetDistribution,
-                                   _a_vertex_marginals, _binary_entropy,
+                                   _a_vertex_marginals,
                                    _power_sum, _tighter,
                                    infer_uniform_regular, is_union_of_kdd)
 
@@ -953,12 +954,14 @@ class TestSpanDerivedMarginals:
         for a in sorted(cert.a_side):
             link = cert.link_matchings[a]
             smask = mask_of(v for e in link for v in e)
-            span, a_span, h_a_b = _a_vertex_marginals(dist_b, b_sum, a,
-                                                      smask, link)
+            span, a_span, free, h_a_b = _a_vertex_marginals(
+                dist_b, b_sum, a, smask, link)
             table = reference_add_a_vertex(dist_b, a, link)
             assert span == marginal(dist_b, smask)
             assert a_span == marginal(table, (1 << a) | smask), (g.edges, a)
             assert _same_float(h_a_b, reference_entropy(table)), (g.edges, a)
+            assert free.tolist() == [g.is_independent(s | 1 << a)
+                                     for s in span.configs.tolist()]
 
     def test_hrd(self):
         for r, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2)]:
@@ -973,6 +976,15 @@ class TestSpanDerivedMarginals:
                 g = random_quasi_bipartite(r, d, num_a, rng)
                 assert g.n <= 24
                 self._check(g)
+
+
+def _binary_entropy(w1: int, w0: int) -> float:
+    total = w1 + w0
+    acc = 0.0
+    for w in (w1, w0):
+        if 0 < w < total:
+            acc -= (w / total) * log2(w / total)
+    return acc
 
 
 def reference_verify_proof_steps(g, eps=PROOF_EPS, caps=Caps()):
