@@ -167,9 +167,10 @@ def _cmd_enumerate(args, caps: Caps) -> int:
     keep = args.emit is not None
     # up to isomorphism, each class is checked once, after the merge
     check = args.check_conjecture and not args.up_to_iso
-    # empty for an infeasible spec or one with no edges
+    # empty for an infeasible spec or one with no edges, and a single chunk
+    # up to isomorphism, which runs in this process
     first_edges = first_edge_choices(spec) if args.workers > 1 else []
-    if first_edges:
+    if len(first_edges) > 1:
         import concurrent.futures  # only a parallel run pays for the pool
 
         # the pool starts all its workers at once, so start no idle ones

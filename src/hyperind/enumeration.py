@@ -6,7 +6,9 @@ degrees.  At each step the lowest vertex v that still needs edges must be the
 smallest vertex of the next edge, because every vertex below v is full and
 every later edge is lexicographically larger.  So the search branches only
 over the candidates whose smallest vertex is v, one contiguous block of the
-sorted candidate list, skipping those that touch a full vertex.  A graph is
+sorted candidate list, skipping those that touch a full vertex.  Every later
+edge through v lies in that block, so a node whose block has fewer
+candidates left than v's residual degree is abandoned.  A graph is
 emitted once it has n*d/r edges.  Emission order is the lexicographic order
 of the sorted edge lists, and deterministic.  The search tree can be
 partitioned by first-edge prefix for work-splitting.
@@ -46,6 +48,18 @@ The graph records the pair only where the inference would accept it
 (r >= 2, d >= 1 and at least one edge), so on the r = 1, d = 0 and n = 0
 specs the inference raises its usual error.  Up to isomorphism the emitted
 graph is the canonical form, which records nothing.
+
+Up to isomorphism only the labeled graphs whose first edge is
+E0 = (0, 1, ..., r-1) are searched, and each is canonicalised; a class is
+emitted at its first labeled member.  That member starts with E0: relabel
+any member so that one of its edges lands on {0, ..., r-1}, and E0, the
+lex-least r-set, is then its first edge.  The graphs starting with E0 are an
+initial segment of the labeled order, so the classes and their order are
+those of the full labeled search, which canonicalises about three times as
+many graphs (465 against 155 on r=2 d=2 n=7).  An empty prefix searches E0,
+a prefix that starts elsewhere emits nothing, and specs without edges are
+searched as in the labeled case.  This is the first-edge case of orderly
+generation (McKay, "Isomorph-free exhaustive generation", 1998).
 """
 
 from __future__ import annotations
@@ -95,7 +109,11 @@ def enumerate_regular(spec: EnumSpec,
                       visit: Callable[[Hypergraph], None] | None = None) -> int:
     """Emit every simple d-regular r-uniform hypergraph on vertices 0..n-1
     exactly once (one representative per isomorphism class when up_to_iso),
-    calling `visit` on each.  Returns the number emitted."""
+    calling `visit` on each.  Returns the number emitted.
+
+    Up to isomorphism the search starts from the first edge E0 = (0, ..., r-1),
+    which begins the first labeled member of every class (see the module
+    docstring); a prefix that does not start with E0 emits nothing."""
     if not spec.feasible:
         return 0
     candidates = list(itertools.combinations(range(spec.n), spec.r))
@@ -114,8 +132,15 @@ def enumerate_regular(spec: EnumSpec,
     residual = [spec.d] * spec.n
     chosen: list[tuple[int, ...]] = []
 
+    prefix = spec.prefix
+    # up to isomorphism only the graphs whose first edge is E0 are searched;
+    # they hold the first labeled member of every class
+    e0 = tuple(range(spec.r))
+    if spec.up_to_iso and m and not prefix:
+        prefix = (e0,)
+
     start = 0
-    for e in spec.prefix:
+    for e in prefix:
         try:
             idx = candidates.index(tuple(e))
         except ValueError:
@@ -128,6 +153,8 @@ def enumerate_regular(spec: EnumSpec,
             residual[v] -= 1
         chosen.append(tuple(e))
         start = idx + 1
+    if spec.up_to_iso and m and chosen[0] != e0:
+        return 0
 
     seen_canon: set[Hypergraph] = set()
     emitted = 0
@@ -216,7 +243,11 @@ def enumerate_regular(spec: EnumSpec,
                     emit(head_e + pair)
             return
         v = (~full & (full + 1)).bit_length() - 1
-        for j in range(max(i, block[v]), block[v + 1]):
+        start = max(i, block[v])
+        # every later edge through v lies in v's block
+        if block[v + 1] - start < residual[v]:
+            return
+        for j in range(start, block[v + 1]):
             if masks[j] & full:
                 continue
             e = candidates[j]
@@ -262,9 +293,12 @@ def first_edge_choices(spec: EnumSpec) -> list[tuple[int, ...]]:
     enumerating each prefix separately and concatenating reproduces the
     unsplit run.  With d >= 1 vertex 0 lies in some edge, so the smallest
     edge contains it; first edges without vertex 0 would emit nothing and
-    are left out.
+    are left out.  Up to isomorphism only E0 = (0, 1, ..., r-1) is searched
+    (see ``enumerate_regular``), so it is the one chunk.
     """
     if not spec.feasible or spec.num_edges == 0:
         return []
+    if spec.up_to_iso:
+        return [tuple(range(spec.r))]
     return [(0,) + rest
             for rest in itertools.combinations(range(1, spec.n), spec.r - 1)]

@@ -377,15 +377,13 @@ class TestEnumerate:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_up_to_iso_checks_each_class_once(self, capsys, tmp_path,
                                               monkeypatch, workers):
-        if workers != "1" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patch reaches pool workers only when they fork")
-        log = tmp_path / "calls"
+        # up to isomorphism every run is one chunk in this process, so the
+        # patch sees every call under any start method
+        log = []
         real = cli.check_conjecture
 
         def logged(g, **kwargs):
-            # a file, so that calls made in forked pool workers count too
-            with open(log, "a") as f:
-                f.write(write_hypergraph(g))
+            log.append(write_hypergraph(g))
             return real(g, **kwargs)
 
         monkeypatch.setattr(cli, "check_conjecture", logged)
@@ -396,8 +394,7 @@ class TestEnumerate:
                                     "--workers", workers])
         assert code == 0
         assert out == "emitted: 2\nchecked: 2\nviolations: 0\n"
-        classes = "".join(f.read_text() for f in sorted(outdir.iterdir()))
-        assert log.read_text() == classes
+        assert log == [f.read_text() for f in sorted(outdir.iterdir())]
 
     def test_infeasible(self, capsys):
         code, out, _ = run(capsys, ["enumerate", "--r", "3", "--d", "1", "--n", "4"])
@@ -431,6 +428,20 @@ class TestEnumerate:
         assert code == 0
         assert out == "emitted: 70\nchecked: 70\nviolations: 0\n"
         assert sizes == [5]
+
+    def test_up_to_iso_starts_no_pool(self, capsys, monkeypatch):
+        # up to isomorphism the search is the one first-edge chunk (0, 1)
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single chunk must not start a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        code, out, _ = run(capsys, ["enumerate", "--r", "2", "--d", "2",
+                                    "--n", "7", "--up-to-iso",
+                                    "--check-conjecture", "--workers", "4"])
+        assert code == 0
+        assert out == "emitted: 2\nchecked: 2\nviolations: 0\n"
 
 
 class TestDeterminism:

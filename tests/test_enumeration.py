@@ -144,6 +144,15 @@ class TestEmissionOrder:
         assert len(got) == 2  # C7, and a triangle beside a 4-cycle
         assert got == reference_emissions(spec)
 
+    def test_up_to_iso_specs(self):
+        # the reference canonicalises every labeled graph, first edge or not
+        specs = [(r, d, n) for r in (2, 3, 4) for d in (1, 2, 3)
+                 for n in range(8) if (n * d) % r == 0
+                 and not (d >= 1 and 0 < n < r)] + [(2, 2, 8)]
+        for r, d, n in specs:
+            spec = EnumSpec(r=r, d=d, n=n, up_to_iso=True)
+            assert collect(spec) == reference_emissions(spec), (r, d, n)
+
 
 def _fits(prefix, n, d):
     degree = [0] * n
@@ -309,7 +318,30 @@ class TestUpToIso:
         caps = Caps(brute=7, canon=6, entropy=5)
         assert enumerate_regular(EnumSpec(r=2, d=1, n=6, up_to_iso=True,
                                           caps=caps)) == 1
-        assert seen == [caps] * 15
+        # only the 3 perfect matchings that contain (0, 1) are searched
+        assert seen == [caps] * 3
+
+    def test_canonical_forms_only_under_the_first_edge(self, monkeypatch):
+        calls = []
+
+        def counted(g, caps):
+            calls.append(g.edges[0])
+            return canonical_form(g, caps)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counted)
+        # 465 and 330 labeled graphs; 155 and 99 of them start with E0
+        for r, d, n, want in [(2, 2, 7, 155), (3, 3, 6, 99)]:
+            calls.clear()
+            enumerate_regular(EnumSpec(r=r, d=d, n=n, up_to_iso=True))
+            assert len(calls) == want, (r, d, n)
+            assert set(calls) == {tuple(range(r))}
+
+    def test_complete_hypergraph_far_above_the_memo(self):
+        # every vertex misses exactly one edge, so only one branch completes;
+        # without the feasibility prune the search does not finish
+        n = 65
+        edges = list(itertools.combinations(range(n), n - 1))
+        assert collect(EnumSpec(r=n - 1, d=n - 1, n=n)) == [Hypergraph(n, edges)]
 
 
 class TestAutomorphismPartition:
@@ -349,6 +381,18 @@ class TestPrefixSplitting:
             for e in itertools.combinations(range(1, n), r):
                 dropped = EnumSpec(r=r, d=d, n=n, prefix=(e,))
                 assert enumerate_regular(dropped) == 0, (r, d, n, e)
+
+    def test_up_to_iso_only_the_first_edge_e0(self):
+        for r, d, n in [(2, 2, 7), (2, 3, 6), (3, 1, 6), (3, 2, 6), (4, 2, 8)]:
+            spec = EnumSpec(r=r, d=d, n=n, up_to_iso=True)
+            e0 = tuple(range(r))
+            assert first_edge_choices(spec) == [e0]
+            for e in itertools.combinations(range(n), r):
+                if e != e0:
+                    other = EnumSpec(r=r, d=d, n=n, up_to_iso=True, prefix=(e,))
+                    assert enumerate_regular(other) == 0, (r, d, n, e)
+            chunk = EnumSpec(r=r, d=d, n=n, up_to_iso=True, prefix=(e0,))
+            assert collect(chunk) == collect(spec), (r, d, n)
 
     def test_invalid_prefix(self):
         with pytest.raises(InvalidArgumentError):
