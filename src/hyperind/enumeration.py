@@ -72,6 +72,9 @@ from . import core
 from .core import Caps, Hypergraph, canonical_form
 from .errors import CapacityError, InvalidArgumentError
 
+# nodes with at most this many edges left are memoised (module docstring)
+DEPTH = 5
+
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -176,46 +179,35 @@ def enumerate_regular(spec: EnumSpec,
         if visit is not None:
             visit(g)
 
-    # the completions of a node with two or three edges left, keyed by the
-    # first candidate its next edge may take and its residuals
-    last_two_memo: dict[tuple[int, tuple[int, ...]], list] = {}
-    last_three_memo: dict[tuple[int, tuple[int, ...]], list] = {}
+    # the completions of a node with 2..DEPTH edges left, keyed by the first
+    # candidate its next edge may take and its residuals, which sum to r times
+    # the number of edges left
+    memo: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    def last_two(i: int, full: int) -> list:
-        """The (edge, forced last edge) pairs that complete this node."""
+    def completions(i: int, full: int, left: int) -> list:
+        """(edge, forced last edge) pairs when two edges are left; above that
+        (edge, that edge's completions) for each edge that starts one."""
         # every vertex below v is full, so the next edge starts at v
         v = (~full & (full + 1)).bit_length() - 1
         start = max(i, block[v])
         key = (start, tuple(residual))
-        pairs = last_two_memo.get(key)
-        if pairs is None:
+        entries = memo.get(key)
+        if entries is not None:
+            return entries
+        entries = []
+        if left == 2:
             # after the next edge the residuals sum to r, so the vertices not
             # full -- all but its own vertices of residual 1 -- must be
             # exactly the last edge, which comes later
-            ones = 0
-            for u in range(v, spec.n):
-                if residual[u] == 1:
-                    ones |= 1 << u
-            pairs = []
+            ones = sum(1 << u for u in range(v, spec.n) if residual[u] == 1)
             for j in range(start, block[v + 1]):
                 mask = masks[j]
                 if mask & full:
                     continue
                 k = index.get(everyone & ~(full | mask & ones), -1)
                 if k > j:
-                    pairs.append((candidates[j], candidates[k]))
-            last_two_memo[key] = pairs
-        return pairs
-
-    def last_three(i: int, full: int) -> list:
-        """(edge, that edge's last_two pairs) for each edge that starts a
-        completion of this node."""
-        v = (~full & (full + 1)).bit_length() - 1
-        start = max(i, block[v])
-        key = (start, tuple(residual))
-        entries = last_three_memo.get(key)
-        if entries is None:
-            entries = []
+                    entries.append((candidates[j], candidates[k]))
+        else:
             for j in range(start, block[v + 1]):
                 if masks[j] & full:
                     continue
@@ -225,22 +217,32 @@ def enumerate_regular(spec: EnumSpec,
                     residual[u] -= 1
                     if not residual[u]:
                         now_full |= 1 << u
-                pairs = last_two(j + 1, now_full)
+                child = completions(j + 1, now_full, left - 1)
                 for u in e:
                     residual[u] += 1
-                if pairs:
-                    entries.append((e, pairs))
-            last_three_memo[key] = entries
+                if child:
+                    entries.append((e, child))
+        memo[key] = entries
         return entries
 
-    def rec(i: int, full: int) -> None:
-        # fewer than m - 2 edges are chosen
-        if len(chosen) == m - 3:
-            head = tuple(chosen)
-            for e, pairs in last_three(i, full):
+    def replay(head: tuple, entries: list, left: int) -> None:
+        if left == 2:
+            for pair in entries:
+                emit(head + pair)
+        elif left == 3:
+            for e, pairs in entries:
                 head_e = head + (e,)
                 for pair in pairs:
                     emit(head_e + pair)
+        else:
+            for e, child in entries:
+                replay(head + (e,), child, left - 1)
+
+    def rec(i: int, full: int) -> None:
+        # at least two edges are left to choose
+        left = m - len(chosen)
+        if left <= DEPTH:
+            replay(tuple(chosen), completions(i, full, left), left)
             return
         v = (~full & (full + 1)).bit_length() - 1
         start = max(i, block[v])
@@ -273,16 +275,12 @@ def enumerate_regular(spec: EnumSpec,
             j = index.get(everyone & ~full, -1)
             if j >= start:
                 emit(tuple(chosen) + (candidates[j],))
-        elif len(chosen) == m - 2:
-            head = tuple(chosen)
-            for pair in last_two(start, full):
-                emit(head + pair)
         else:
             rec(start, full)
     finally:
-        # rec refers to itself through its closure; without this the memos
-        # would wait for a cyclic collection to be freed
-        rec = None
+        # these refer to themselves through their closures; without this the
+        # memo would wait for a cyclic collection to be freed
+        rec = completions = replay = None
     return emitted
 
 

@@ -164,64 +164,38 @@ def _fits(prefix, n, d):
 
 class TestForcedLastEdge:
     """The last edge is looked up, not scanned for, inside the candidate loop
-    of the last-but-one level, and the last two and three edges come from
-    memo tables; these prefixes start the search at each of those levels."""
+    of the last-but-one level, and the last DEPTH edges come from one memo
+    table; these prefixes start the search at every memo level and at the
+    forced last edge."""
 
     SPECS = [(2, 1, 6), (2, 2, 5), (2, 2, 6), (3, 2, 6), (2, 3, 6), (4, 2, 6)]
 
-    def test_every_prefix_of_m_minus_1_edges(self):
-        emitted = 0
-        for r, d, n in self.SPECS:
-            m = EnumSpec(r=r, d=d, n=n).num_edges
-            candidates = list(itertools.combinations(range(n), r))
-            for prefix in itertools.combinations(candidates, m - 1):
-                if not _fits(prefix, n, d):
-                    continue
-                spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
-                got = collect(spec)
-                assert got == reference_emissions(spec), prefix
-                assert len(got) <= 1
-                emitted += len(got)
-        # each labeled graph completes exactly one prefix of its first m - 1 edges
-        assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
-                              for r, d, n in self.SPECS)
-
-    def test_every_prefix_of_m_minus_2_edges(self):
-        emitted = 0
-        for r, d, n in self.SPECS:
-            m = EnumSpec(r=r, d=d, n=n).num_edges
-            candidates = list(itertools.combinations(range(n), r))
-            for prefix in itertools.combinations(candidates, m - 2):
-                if not _fits(prefix, n, d):
-                    continue
-                spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
-                got = collect(spec)
-                assert got == reference_emissions(spec), prefix
-                emitted += len(got)
-        assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
-                              for r, d, n in self.SPECS)
-
-    def test_every_prefix_of_m_minus_3_edges(self):
-        emitted = 0
-        for r, d, n in self.SPECS:
-            m = EnumSpec(r=r, d=d, n=n).num_edges
-            candidates = list(itertools.combinations(range(n), r))
-            for prefix in itertools.combinations(candidates, m - 3):
-                if not _fits(prefix, n, d):
-                    continue
-                spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
-                got = collect(spec)
-                assert got == reference_emissions(spec), prefix
-                emitted += len(got)
-        assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
-                              for r, d, n in self.SPECS)
+    def test_every_prefix_of_m_minus_k_edges(self):
+        totals = sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
+                     for r, d, n in self.SPECS)
+        for left in range(1, enumeration.DEPTH + 1):
+            emitted = 0
+            for r, d, n in self.SPECS:
+                m = EnumSpec(r=r, d=d, n=n).num_edges
+                candidates = list(itertools.combinations(range(n), r))
+                for prefix in itertools.combinations(candidates, max(m - left, 0)):
+                    if not _fits(prefix, n, d):
+                        continue
+                    spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
+                    got = collect(spec)
+                    assert got == reference_emissions(spec), prefix
+                    assert left > 1 or len(got) <= 1
+                    emitted += len(got)
+            # each labeled graph completes exactly one prefix of its first
+            # m - left edges
+            assert emitted == totals, left
 
     def test_degree_above_a_byte(self):
         # the complete 256-uniform hypergraph on 257 vertices is 256-regular,
-        # entered at both memo levels with residuals above 255
+        # entered at every memo level with residuals above 255
         n = 257
         edges = list(itertools.combinations(range(n), n - 1))
-        for left in (2, 3):
+        for left in range(2, enumeration.DEPTH + 1):
             spec = EnumSpec(r=n - 1, d=n - 1, n=n, prefix=edges[:-left])
             assert collect(spec) == reference_emissions(spec) \
                 == [Hypergraph(n, edges)]
@@ -259,14 +233,18 @@ class TestMemoLifetime:
     """The memo tables live for one call and are freed when it returns."""
 
     def test_no_reference_cycle_left(self):
-        spec = EnumSpec(r=3, d=2, n=6)
+        # the first spec lies inside the memo; the second also runs the
+        # search above it
+        small, large = EnumSpec(r=3, d=2, n=6), EnumSpec(r=2, d=2, n=9)
+        assert small.num_edges <= enumeration.DEPTH < large.num_edges
         gc.disable()
         try:
             gc.collect()
-            assert enumerate_regular(spec) == 75
-            assert gc.collect() == 0
-            assert len(collect(spec)) == 75
-            assert gc.collect() == 0
+            for spec, total in [(small, 75), (large, 30016)]:
+                assert enumerate_regular(spec) == total
+                assert gc.collect() == 0
+                assert len(collect(spec)) == total
+                assert gc.collect() == 0
         finally:
             gc.enable()
 
