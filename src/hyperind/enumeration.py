@@ -21,25 +21,34 @@ when its index is past the previous edge's.  It does so inside the candidate
 loop of the last-but-one level, from the mask of vertices of residual 1, so
 the deepest level, where most search nodes would lie, is never entered.
 
-The last three edges are memoised.  The bottom of the search tree repeats:
-on the labeled sweep ranges 72,360 nodes with two edges left reach only
-1,088 distinct states, and 35,312 nodes with three edges left reach 1,351.
-So the completions of a node with two or three edges left are computed once
-per state, in a table for each of the two levels keyed by (first candidate
-the next edge may take, residual degrees), and replayed after the chosen
-prefix.  The key is exact.  The residuals fix the full vertices, and with
-them the lowest open vertex v and the mask of residual-1 vertices; the next
-edge ranges over v's block from the first candidate past the previous edge,
-max(i, block[v]); and nothing else is read below the node.  The two-edge
-table lists (edge, forced last edge) pairs.  The three-edge table lists
-(edge, that child's pair list) entries, sharing the child lists instead of
-flattening them into three-edge suffixes, which would take more memory.
-Each table lists its entries in the order the search would find them, so a
-node replays its completions in lexicographic order and the emission order
-is unchanged.  The tables live for one call.  The depth is a constant 3,
-not an option.  A fourth nested table ran the sweep ranges about a fifth
-faster and r=2 d=2 n=10 a quarter faster, but not r=3 d=2 n=9 or r=4 d=2
-n=10; it is left for a measured change of its own.
+The last DEPTH = 5 edges are memoised.  The bottom of the search tree
+repeats: on the labeled sweep ranges a search without a memo visits 72,360,
+35,312, 14,393 and 5,314 nodes with 2, 3, 4 and 5 edges left, and they
+reach only 1,088, 1,351, 1,649 and 1,252 distinct states.  So the
+completions of a node with at most DEPTH edges left are computed once per
+state and replayed after the chosen prefix, from one table keyed by (first
+candidate the next edge may take, residual degrees).  The key is exact.
+The residuals fix the full vertices, and with them the lowest open vertex v
+and the mask of residual-1 vertices; the next edge ranges over v's block
+from the first candidate past the previous edge, max(i, block[v]); and
+nothing else is read below the node.  The residuals sum to r times the number of edges left, so one table
+serves every level.  With two edges left an entry lists (edge, forced last
+edge) pairs; above that it lists (edge, that child's entries) for each edge
+whose child completes, sharing the child lists instead of flattening them
+into suffixes, which would take more memory.  Each entry lists its
+completions in the order the search would find them, so a node replays
+them in lexicographic order and the emission order is unchanged.  The
+table lives for one call.
+
+The depth is a constant, not the whole tree.  Above DEPTH the search stays
+a depth-first walk, so graphs stream out as they are found and the table
+holds only the states within DEPTH edges of a leaf.  A table over every
+level would emit nothing until the whole tree was built: on r=4 d=2 n=12
+it emits its first graph after 23 s at 577 MB, against 0.3 s at 25 MB with
+depth 5, and on r=2 d=3 n=12 after 4 s at 184 MB.  On the perfbench
+`sweep` workload depth 5 ran 15% faster than a memo of the last three
+edges; depth 4 was 1-5% slower than 5, and depth 6 about 1% faster at
+0.3 MB more memory.
 
 Every labeled graph is emitted with its (r, d) passed to
 ``Hypergraph._from_normalized``, so ``infer_uniform_regular`` (and with it
