@@ -31,14 +31,14 @@ candidate the next edge may take, residual degrees).  The key is exact.
 The residuals fix the full vertices, and with them the lowest open vertex v
 and the mask of residual-1 vertices; the next edge ranges over v's block
 from the first candidate past the previous edge, max(i, block[v]); and
-nothing else is read below the node.  The residuals sum to r times the number of edges left, so one table
-serves every level.  With two edges left an entry lists (edge, forced last
-edge) pairs; above that it lists (edge, that child's entries) for each edge
-whose child completes, sharing the child lists instead of flattening them
-into suffixes, which would take more memory.  Each entry lists its
-completions in the order the search would find them, so a node replays
-them in lexicographic order and the emission order is unchanged.  The
-table lives for one call.
+nothing else is read below the node.  The residuals sum to r times the
+number of edges left, so one table serves every level.  With two edges left
+an entry lists (edge, forced last edge) pairs; above that it lists (edge,
+that child's entries) for each edge whose child completes, sharing the
+child lists instead of flattening them into suffixes, which would take more
+memory.  Each entry lists its completions in the order the search would
+find them, so a node replays them in lexicographic order and the emission
+order is unchanged.  The table lives for one call.
 
 The depth is a constant, not the whole tree.  Above DEPTH the search stays
 a depth-first walk, so graphs stream out as they are found and the table

@@ -178,7 +178,8 @@ class TestForcedLastEdge:
             for r, d, n in self.SPECS:
                 m = EnumSpec(r=r, d=d, n=n).num_edges
                 candidates = list(itertools.combinations(range(n), r))
-                for prefix in itertools.combinations(candidates, max(m - left, 0)):
+                size = max(m - left, 0)
+                for prefix in itertools.combinations(candidates, size):
                     if not _fits(prefix, n, d):
                         continue
                     spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
@@ -230,7 +231,7 @@ class TestForcedLastEdge:
 
 
 class TestMemoLifetime:
-    """The memo tables live for one call and are freed when it returns."""
+    """The memo table lives for one call and is freed when it returns."""
 
     def test_no_reference_cycle_left(self):
         # the first spec lies inside the memo; the second also runs the
