@@ -170,26 +170,38 @@ class TestForcedLastEdge:
 
     SPECS = [(2, 1, 6), (2, 2, 5), (2, 2, 6), (3, 2, 6), (2, 3, 6), (4, 2, 6)]
 
+    def _check_every_prefix(self, left):
+        emitted = 0
+        for r, d, n in self.SPECS:
+            m = EnumSpec(r=r, d=d, n=n).num_edges
+            candidates = list(itertools.combinations(range(n), r))
+            size = max(m - left, 0)
+            for prefix in itertools.combinations(candidates, size):
+                if not _fits(prefix, n, d):
+                    continue
+                spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
+                got = collect(spec)
+                assert got == reference_emissions(spec), prefix
+                assert left > 1 or len(got) <= 1
+                emitted += len(got)
+        # each labeled graph completes exactly one prefix of its first
+        # m - left edges
+        assert emitted == sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
+                              for r, d, n in self.SPECS), left
+
+    def test_every_prefix_of_m_minus_1_edges(self):
+        self._check_every_prefix(1)
+
+    def test_every_prefix_of_m_minus_2_edges(self):
+        self._check_every_prefix(2)
+
+    def test_every_prefix_of_m_minus_3_edges(self):
+        self._check_every_prefix(3)
+
     def test_every_prefix_of_m_minus_k_edges(self):
-        totals = sum(enumerate_regular(EnumSpec(r=r, d=d, n=n))
-                     for r, d, n in self.SPECS)
-        for left in range(1, enumeration.DEPTH + 1):
-            emitted = 0
-            for r, d, n in self.SPECS:
-                m = EnumSpec(r=r, d=d, n=n).num_edges
-                candidates = list(itertools.combinations(range(n), r))
-                size = max(m - left, 0)
-                for prefix in itertools.combinations(candidates, size):
-                    if not _fits(prefix, n, d):
-                        continue
-                    spec = EnumSpec(r=r, d=d, n=n, prefix=prefix)
-                    got = collect(spec)
-                    assert got == reference_emissions(spec), prefix
-                    assert left > 1 or len(got) <= 1
-                    emitted += len(got)
-            # each labeled graph completes exactly one prefix of its first
-            # m - left edges
-            assert emitted == totals, left
+        # the memo levels above the third, up to DEPTH
+        for left in range(4, enumeration.DEPTH + 1):
+            self._check_every_prefix(left)
 
     def test_degree_above_a_byte(self):
         # the complete 256-uniform hypergraph on 257 vertices is 256-regular,
