@@ -20,6 +20,7 @@ mask up in a mask -> candidate index table built once per run and accepts it
 when its index is past the previous edge's.  It does so inside the candidate
 loop of the last-but-one level, from the mask of vertices of residual 1, so
 the deepest level, where most search nodes would lie, is never entered.
+Every prefix, down to a whole graph, goes through the same search.
 
 The last DEPTH = 5 edges are memoised.  The bottom of the search tree
 repeats: on the labeled sweep ranges a search without a memo visits 72,360,
@@ -32,13 +33,14 @@ The residuals fix the full vertices, and with them the lowest open vertex v
 and the mask of residual-1 vertices; the next edge ranges over v's block
 from the first candidate past the previous edge, max(i, block[v]); and
 nothing else is read below the node.  The residuals sum to r times the
-number of edges left, so one table serves every level.  With two edges left
-an entry lists (edge, forced last edge) pairs; above that it lists (edge,
-that child's entries) for each edge whose child completes, sharing the
-child lists instead of flattening them into suffixes, which would take more
-memory.  Each entry lists its completions in the order the search would
-find them, so a node replays them in lexicographic order and the emission
-order is unchanged.  The table lives for one call.
+number of edges left, so one table serves every level.  With one or two
+edges left an entry lists tails, (last edge,) or (edge, forced last edge)
+pairs; above that it lists (edge, that child's entries) for each edge whose
+child completes, sharing the child lists instead of flattening them into
+suffixes, which would take more memory.  Each entry lists its completions in
+the order the search would find them, so a node replays them in
+lexicographic order and the emission order is unchanged.  The table lives
+for one call.
 
 The depth is a constant, not the whole tree.  Above DEPTH the search stays
 a depth-first walk, so graphs stream out as they are found and the table
@@ -188,14 +190,17 @@ def enumerate_regular(spec: EnumSpec,
         if visit is not None:
             visit(g)
 
-    # the completions of a node with 2..DEPTH edges left, keyed by the first
+    # the completions of a node with 1..DEPTH edges left, keyed by the first
     # candidate its next edge may take and its residuals, which sum to r times
     # the number of edges left
     memo: dict[tuple[int, tuple[int, ...]], list] = {}
 
     def completions(i: int, full: int, left: int) -> list:
-        """(edge, forced last edge) pairs when two edges are left; above that
-        (edge, that edge's completions) for each edge that starts one."""
+        """The tails when at most two edges are left: (), (forced last
+        edge,) or (edge, forced last edge); above that (edge, that edge's
+        completions) for each edge that starts one."""
+        if not left:
+            return [()]
         # every vertex below v is full, so the next edge starts at v
         v = (~full & (full + 1)).bit_length() - 1
         start = max(i, block[v])
@@ -204,7 +209,12 @@ def enumerate_regular(spec: EnumSpec,
         if entries is not None:
             return entries
         entries = []
-        if left == 2:
+        if left == 1:
+            # the residuals sum to r: the vertices not full are the last edge
+            k = index.get(everyone & ~full, -1)
+            if k >= start:
+                entries.append((candidates[k],))
+        elif left == 2:
             # after the next edge the residuals sum to r, so the vertices not
             # full -- all but its own vertices of residual 1 -- must be
             # exactly the last edge, which comes later
@@ -235,9 +245,9 @@ def enumerate_regular(spec: EnumSpec,
         return entries
 
     def replay(head: tuple, entries: list, left: int) -> None:
-        if left == 2:
-            for pair in entries:
-                emit(head + pair)
+        if left <= 2:
+            for tail in entries:
+                emit(head + tail)
         elif left == 3:
             for e, pairs in entries:
                 head_e = head + (e,)
@@ -248,7 +258,7 @@ def enumerate_regular(spec: EnumSpec,
                 replay(head + (e,), child, left - 1)
 
     def rec(i: int, full: int) -> None:
-        # at least two edges are left to choose
+        # every prefix, down to a whole graph, ends in the memo levels
         left = m - len(chosen)
         if left <= DEPTH:
             replay(tuple(chosen), completions(i, full, left), left)
@@ -275,17 +285,7 @@ def enumerate_regular(spec: EnumSpec,
 
     full = core.mask_of(v for v in range(spec.n) if residual[v] == 0)
     try:
-        if len(chosen) == m:
-            emit(tuple(chosen))
-        elif len(chosen) == m - 1:
-            # the residuals sum to r: the vertices not yet full must be
-            # exactly the last edge, and it must come at or after candidate
-            # start
-            j = index.get(everyone & ~full, -1)
-            if j >= start:
-                emit(tuple(chosen) + (candidates[j],))
-        else:
-            rec(start, full)
+        rec(start, full)
     finally:
         # these refer to themselves through their closures; without this the
         # memo would wait for a cyclic collection to be freed

@@ -176,10 +176,9 @@ def compare_constructions(r: int, t: int | None = None, m: int | None = None,
     if t is not None:
         if r < 2 or t < 1:
             raise InvalidArgumentError(f"need r >= 2 and t >= 1, got r={r}, t={t}")
-        d = t ** (r - 1)
-        if r * t > caps.brute:  # before the rival is built
+        if r * t > caps.brute:  # before d and the rival are built
             raise brute_cap_error(r * t, caps)
-        return _compare("complete-r-partite", r, d,
+        return _compare("complete-r-partite", r, t ** (r - 1),
                         build_complete_r_partite(r, t), caps)
     if r != 3:
         raise InvalidArgumentError("transversal designs are implemented for r = 3 only")
@@ -227,6 +226,11 @@ class SubsetDistribution:
         return dict(zip(self.configs.tolist(), self.counts.tolist()))
 
 
+def _entropy_cap_error(n: int, caps: Caps) -> CapacityError:
+    """The error ``joint_distribution`` raises on n > caps.entropy vertices."""
+    return CapacityError(f"joint_distribution capped at n <= {caps.entropy}, got n = {n}")
+
+
 def joint_distribution(g: Hypergraph, caps: Caps = Caps(),
                        onto: int | None = None) -> SubsetDistribution:
     """The distribution of I & onto for I uniform over the independent sets
@@ -239,8 +243,7 @@ def joint_distribution(g: Hypergraph, caps: Caps = Caps(),
     the subsets of ``onto`` independent in g[onto], in increasing order.
     """
     if g.n > caps.entropy:
-        raise CapacityError(
-            f"joint_distribution capped at n <= {caps.entropy}, got n = {g.n}")
+        raise _entropy_cap_error(g.n, caps)
     everything = (1 << g.n) - 1
     onto = everything if onto is None else onto
     if onto & ~everything:
@@ -446,6 +449,8 @@ def verify_proof_steps(g: Hypergraph, caps: Caps = Caps()) -> ProofStepReport:
     The float inequalities are checked at a tolerance of PROOF_EPS bits.
     """
     r, d = infer_uniform_regular(g)
+    if g.n > caps.entropy:  # before the recogniser searches for a bipartition
+        raise _entropy_cap_error(g.n, caps)
     cert = quasi_bipartition(g)
     if cert is None:
         raise InvalidArgumentError(

@@ -111,13 +111,87 @@ class TestVerifyProof:
         assert "quasi-bipartite" in err
 
     def test_long_matching_reaches_the_cap(self, capsys, monkeypatch):
-        # 1,200 edges, more than the recursion limit: the recogniser certifies
-        # the matching and the entropy cap rejects it
+        # 2,400 vertices: the entropy cap rejects the matching before the
+        # recogniser runs
         hg = write_hypergraph(build_matching(2, 1200))
         code, out, err = run(capsys, ["verify-proof", "-"],
                              stdin=hg, monkeypatch=monkeypatch)
         assert code == 2 and out == ""
         assert err == "error: joint_distribution capped at n <= 24, got n = 2400\n"
+
+    def test_over_cap_input_reports_the_cap(self, capsys, monkeypatch):
+        # C_25 is not quasi-bipartite either, but n = 25 is over the entropy
+        # cap, which is checked before the recogniser runs
+        monkeypatch.delenv("HYPERIND_CAPS", raising=False)
+        hg = "25\n0 24\n" + "".join(f"{i} {i + 1}\n" for i in range(24))
+        code, out, err = run(capsys, ["verify-proof", "-"],
+                             stdin=hg, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "error: joint_distribution capped at n <= 24, got n = 25\n"
+
+
+#: ``check-conjecture`` output, byte for byte, text then ``--json``
+GOLDEN_CHECKS = {
+    "6\n0 2 3\n0 4 5\n1 2 3\n1 4 5\n": (  # H(3,2)
+        'r=3 d=2 n=6\n'
+        'ind(G) = 43\n'
+        'lhs = ind(G)^(rd) = 6321363049\n'
+        'rhs = ind(H)^n   = 6321363049\n'
+        'holds: true  equality: true\n'
+        'slack: 0 bits per block\n',
+        '{"r": 3, "d": 2, "n": 6, "ind": "43", "lhs": "6321363049", '
+        '"rhs": "6321363049", "holds": true, "equality": true, '
+        '"slack_bits": 0.0}\n'
+    ),
+    "5\n0 1\n1 2\n2 3\n3 4\n0 4\n": (  # C_5
+        'r=2 d=2 n=5\n'
+        'ind(G) = 11\n'
+        'lhs = ind(G)^(rd) = 14641\n'
+        'rhs = ind(H)^n   = 16807\n'
+        'holds: true  equality: false\n'
+        'slack: 0.0497620339347078 bits per block\n',
+        '{"r": 2, "d": 2, "n": 5, "ind": "11", "lhs": "14641", '
+        '"rhs": "16807", "holds": true, "equality": false, '
+        '"slack_bits": 0.0497620339347078}\n'
+    ),
+}
+
+#: ``compare --r 3`` output, byte for byte, text then ``--json``
+GOLDEN_COMPARES = {
+    ("--t", "2"): (
+        'complete-r-partite: r=3 d=4\n'
+        'ind(H) = 1471  ind(rival) = 37\n'
+        'at L=12 vertices: 1471 vs 1369\n'
+        'winner: hrd\n',
+        '{"kind": "complete-r-partite", "r": 3, "d": 4, "ind_hrd": "1471", '
+        '"ind_rival": "37", "L": 12, "hrd_power": "1471", '
+        '"rival_power": "1369", "winner": "hrd"}\n'
+    ),
+    ("--m", "3"): (
+        'transversal-design-3: r=3 d=3\n'
+        'ind(H) = 253  ind(rival) = 214\n'
+        'at L=9 vertices: 253 vs 214\n'
+        'winner: hrd\n',
+        '{"kind": "transversal-design-3", "r": 3, "d": 3, "ind_hrd": "253", '
+        '"ind_rival": "214", "L": 9, "hrd_power": "253", '
+        '"rival_power": "214", "winner": "hrd"}\n'
+    ),
+}
+
+
+class TestCheckAndCompareGolden:
+    @pytest.mark.parametrize("hg", list(GOLDEN_CHECKS))
+    def test_check_conjecture_byte_for_byte(self, capsys, monkeypatch, hg):
+        for argv, expected in zip(([], ["--json"]), GOLDEN_CHECKS[hg]):
+            code, out, err = run(capsys, ["check-conjecture", "-"] + argv,
+                                 stdin=hg, monkeypatch=monkeypatch)
+            assert (code, out, err) == (0, expected, ""), argv
+
+    @pytest.mark.parametrize("rival", list(GOLDEN_COMPARES))
+    def test_compare_byte_for_byte(self, capsys, rival):
+        for argv, expected in zip(([], ["--json"]), GOLDEN_COMPARES[rival]):
+            code, out, err = run(capsys, ["compare", "--r", "3", *rival] + argv)
+            assert (code, out, err) == (0, expected, ""), argv
 
 
 #: ``verify-proof`` output, byte for byte, as the float-loop entropy gave it
@@ -323,6 +397,19 @@ class TestCompare:
         code, out, err = run(capsys, ["compare"] + argv)
         assert (code, out) == (2, "")
         assert err == f"error: count_brute capped at n <= 30, got n = {n}\n"
+
+    def test_cap_comes_before_d(self):
+        # d = 3^(r-1) has tens of millions of digits here; the cap must come
+        # first, in a fresh process so a slow power cannot hang the suite
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "HYPERIND_CAPS"}
+        env["PYTHONPATH"] = str(src)
+        proc = subprocess.run([sys.executable, "-m", "hyperind.cli", "compare",
+                               "--r", "100000000", "--t", "3"], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == \
+            "error: count_brute capped at n <= 30, got n = 300000000\n"
 
     def test_requires_t_or_m(self, capsys):
         with pytest.raises(SystemExit) as exc:

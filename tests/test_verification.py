@@ -16,7 +16,7 @@ from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
                       joint_distribution, marginal, mask_of, quasi_bipartition,
                       random_quasi_bipartite, verify_proof_steps, vertices_of,
                       write_hypergraph)
-from hyperind import counting
+from hyperind import counting, verification
 from hyperind.counting import METHODS, count, count_brute, ind_hrd_formula
 from hyperind.enumeration import first_edge_choices
 from hyperind.verification import (PROOF_EPS, ConjectureVerdict, ProofStep,
@@ -755,6 +755,16 @@ class TestProofSteps:
         with pytest.raises(CapacityError, match="count_brute"):
             verify_proof_steps(g, caps=Caps(brute=3))
         assert verify_proof_steps(g, caps=Caps(brute=4, entropy=6)).all_passed
+
+    def test_cap_comes_before_the_recogniser(self, monkeypatch):
+        # the bipartition search can run for minutes on inputs far above the
+        # cap, so an over-cap input must never reach it
+        def refuse(g):
+            raise AssertionError("recogniser ran on an over-cap input")
+
+        monkeypatch.setattr(verification, "quasi_bipartition", refuse)
+        with pytest.raises(CapacityError, match="capped at n <= 5, got n = 6"):
+            verify_proof_steps(build_hrd(3, 2)[0], caps=Caps(entropy=5))
 
     def test_random_instance_at_the_entropy_cap(self):
         # n = 24, |B| = 16: the B-side weights take 2^16 configurations
