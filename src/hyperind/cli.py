@@ -155,7 +155,8 @@ def _enumerate_chunk(spec: EnumSpec, check: bool,
         if check and not check_conjecture(g, caps=spec.caps).holds:
             violations.append(write_hypergraph(g))
 
-    count = enumerate_regular(spec, visit)
+    # with nothing to keep or check, no graph is built
+    count = enumerate_regular(spec, visit if keep or check else None)
     return count, emissions, violations
 
 

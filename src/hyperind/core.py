@@ -83,6 +83,9 @@ class Hypergraph:
 
     n: int
     edges: tuple[tuple[int, ...], ...]
+    # ind(G) when _from_normalized was given it; not a field, so equality,
+    # hashing and repr ignore it
+    _ind = None
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         if n < 0:
@@ -101,8 +104,8 @@ class Hypergraph:
 
     @classmethod
     def _from_normalized(cls, n: int, edges: tuple[tuple[int, ...], ...],
-                         uniform_regular: tuple[int, int] | None = None
-                         ) -> "Hypergraph":
+                         uniform_regular: tuple[int, int] | None = None,
+                         ind: int | None = None) -> "Hypergraph":
         """Wrap edges that are already distinct sorted tuples in 0..n-1, in
         lexicographic order, without checking them again.
 
@@ -110,13 +113,20 @@ class Hypergraph:
         pass (r, d).  It fills the ``_uniform_regular`` cache, so the
         inference never scans g, but only when those loops would accept
         the graph: r >= 2, d >= 1 and at least one edge.  Otherwise nothing
-        is recorded and the inference raises its usual error."""
+        is recorded and the inference raises its usual error.
+
+        A caller that counted the independent sets may pass the count as
+        ``ind``; ``count_brute`` then returns it on n <= 12 vertices after
+        its cap check.  Only the integer is kept, in the instance dict like
+        the pair: it is no field, so equality and hashing ignore it."""
         g = object.__new__(cls)
         if (uniform_regular and edges and uniform_regular[0] >= 2
                 and uniform_regular[1] >= 1):
             g.__dict__.update(n=n, edges=edges, _uniform_regular=uniform_regular)
         else:
             g.__dict__.update(n=n, edges=edges)
+        if ind is not None:
+            g.__dict__["_ind"] = ind
         return g
 
     @cached_property

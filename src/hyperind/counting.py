@@ -73,11 +73,16 @@ def count_brute(g: Hypergraph, caps: Caps = Caps()) -> int:
     each pattern comes from ``_edge_patterns(n)``: a labeled sweep counts
     tens of thousands of graphs on one n that share a few hundred edges.
     That cache is bounded by every edge on every n <= 12, about 4 MB, and
-    holds nothing for larger n.
+    holds nothing for larger n.  ``enumerate_regular`` ORs the same patterns
+    along its search and builds each labeled graph with the count, which
+    is returned here once the cap check has passed; every other graph is
+    counted from its edges.
     """
     if g.n > caps.brute:
         raise brute_cap_error(g.n, caps)
     if g.n <= _CACHED_N:
+        if g._ind is not None:
+            return g._ind
         patterns = _edge_patterns(g.n)
         hit = 0
         for e in g.edges:

@@ -57,8 +57,16 @@ Every labeled graph is emitted with its (r, d) passed to
 ``check_conjecture``) answers without scanning the edges and degrees again.
 The graph records the pair only where the inference would accept it
 (r >= 2, d >= 1 and at least one edge), so on the r = 1, d = 0 and n = 0
-specs the inference raises its usual error.  Up to isomorphism the emitted
-graph is the canonical form, which records nothing.
+specs the inference raises its usual error.  On n <= 12 vertices it is also
+emitted with its count ind(G), which ``count_brute`` returns after its cap
+check.  The count is 2^n less the popcount of the OR of the edges' patterns
+from count_brute's ``_edge_patterns(n)``, and the replay carries that OR
+down the shared prefixes: the chosen prefix is ORed once where the memo is
+entered, each deeper level ORs its one edge, and emission ORs the last one
+or two.  Where nothing is counted the table holds zeros, so one replay
+serves every run, and the memo entries hold edges only, never 2^n-bit
+patterns.  A labeled run with no visit builds no graph at all.  Up to
+isomorphism the emitted graph is the canonical form, which records nothing.
 
 Up to isomorphism only the labeled graphs whose first edge is
 E0 = (0, 1, ..., r-1) are searched, and each is canonicalised; a class is
@@ -79,7 +87,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from . import core
+from . import core, counting
 from .core import Caps, Hypergraph, canonical_form
 from .errors import CapacityError, InvalidArgumentError
 
@@ -174,13 +182,29 @@ def enumerate_regular(spec: EnumSpec,
     emitted = 0
     # recorded only where infer_uniform_regular would accept it
     known = (spec.r, spec.d)
+    n, up_to_iso = spec.n, spec.up_to_iso
+    # a labeled run with no visit builds no graph; one with a visit counts
+    # each graph along the search from count_brute's edge patterns where
+    # they are cached, and elsewhere the ORs run on zeros
+    tally_only = visit is None and not up_to_iso
+    counted = visit is not None and not up_to_iso and n <= counting._CACHED_N
+    pat = counting._edge_patterns(n) if counted else dict.fromkeys(candidates, 0)
 
-    def emit(edges: tuple[tuple[int, ...], ...]) -> None:
+    def emit(head: tuple, tail: tuple, hit: int) -> None:
+        """Emit head + tail; hit is the OR of the head's edge patterns."""
         nonlocal emitted
+        if tally_only:
+            emitted += 1
+            return
+        ind = None
+        if counted:
+            for e in tail:
+                hit |= pat[e]
+            ind = (1 << n) - hit.bit_count()
         # m edges carry all n*d incidences, so every degree is d
-        # edges holds distinct candidates in increasing lex order
-        g = Hypergraph._from_normalized(spec.n, edges, known)
-        if spec.up_to_iso:
+        # head + tail holds distinct candidates in increasing lex order
+        g = Hypergraph._from_normalized(n, head + tail, known, ind)
+        if up_to_iso:
             canon = canonical_form(g, spec.caps)
             if canon in seen_canon:
                 return
@@ -244,24 +268,29 @@ def enumerate_regular(spec: EnumSpec,
         memo[key] = entries
         return entries
 
-    def replay(head: tuple, entries: list, left: int) -> None:
+    def replay(head: tuple, hit: int, entries: list, left: int) -> None:
+        # hit is the OR of the head's edge patterns
         if left <= 2:
             for tail in entries:
-                emit(head + tail)
+                emit(head, tail, hit)
         elif left == 3:
             for e, pairs in entries:
                 head_e = head + (e,)
+                hit_e = hit | pat[e]
                 for pair in pairs:
-                    emit(head_e + pair)
+                    emit(head_e, pair, hit_e)
         else:
             for e, child in entries:
-                replay(head + (e,), child, left - 1)
+                replay(head + (e,), hit | pat[e], child, left - 1)
 
     def rec(i: int, full: int) -> None:
         # every prefix, down to a whole graph, ends in the memo levels
         left = m - len(chosen)
         if left <= DEPTH:
-            replay(tuple(chosen), completions(i, full, left), left)
+            hit = 0
+            for e in chosen:
+                hit |= pat[e]
+            replay(tuple(chosen), hit, completions(i, full, left), left)
             return
         v = (~full & (full + 1)).bit_length() - 1
         start = max(i, block[v])

@@ -5,6 +5,9 @@ import pytest
 
 from hyperind import Hypergraph
 
+# the labeled (r, d, n) ranges of the benchmark's sweep workload
+SWEEP_RANGES = [(2, 1, 10), (2, 2, 9), (2, 3, 8), (3, 1, 12), (3, 2, 6)]
+
 
 def random_hypergraph(n: int, r: int, rng: random.Random,
                       max_edges: int | None = None) -> Hypergraph:

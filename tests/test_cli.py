@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperind import (build_hrd, build_matching, cli, random_quasi_bipartite,
-                      verification, write_hypergraph)
+from hyperind import (Hypergraph, build_hrd, build_matching, cli,
+                      random_quasi_bipartite, verification, write_hypergraph)
 from hyperind.cli import main
 
 
@@ -431,6 +431,16 @@ class TestEnumerate:
         code, out, _ = run(capsys, ["enumerate", "--r", "2", "--d", "1", "--n", "4"])
         assert code == 0
         assert "emitted: 3" in out
+
+    def test_count_only_builds_no_graph(self, capsys, monkeypatch):
+        # with neither --emit nor --check-conjecture the workers only count
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(Hypergraph, "_from_normalized", refuse)
+        code, out, _ = run(capsys, ["enumerate", "--r", "2", "--d", "2", "--n", "7"])
+        assert code == 0
+        assert out == "emitted: 465\n"
 
     def test_emit_dir(self, capsys, tmp_path):
         outdir = tmp_path / "out"

@@ -12,7 +12,7 @@ from hyperind import counting
 from hyperind.counting import (count, count_auto, count_branch, count_brute,
                                ind_hrd_formula, independent_set_masks)
 
-from conftest import brute_count, random_hypergraph
+from conftest import SWEEP_RANGES, brute_count, random_hypergraph
 
 
 def cycle(n):
@@ -150,10 +150,6 @@ def _reference_components(edges):
                 break
         comps.append((cmask, cedges))
     return comps
-
-
-# the labeled (r, d, n) ranges of the benchmark's sweep workload
-SWEEP_RANGES = [(2, 1, 10), (2, 2, 9), (2, 3, 8), (3, 1, 12), (3, 2, 6)]
 
 
 class TestFormula:

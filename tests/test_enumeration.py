@@ -1,12 +1,17 @@
 import gc
 import itertools
+import pickle
 
 import pytest
 
 from hyperind import Caps, CapacityError, EnumSpec, Hypergraph, \
-    InvalidArgumentError, canonical_form, enumerate_regular
-from hyperind import enumeration
+    InvalidArgumentError, build_hrd, build_matching, canonical_form, \
+    check_conjecture, enumerate_regular, read_hypergraph, write_hypergraph
+from hyperind import counting, enumeration
+from hyperind.counting import brute_cap_error, count, count_branch, count_brute
 from hyperind.enumeration import first_edge_choices
+
+from conftest import SWEEP_RANGES
 
 
 def collect(spec):
@@ -275,6 +280,81 @@ class TestMemoLifetime:
         assert seen == reference_emissions(spec)[:100]
         for after in (spec, EnumSpec(r=3, d=2, n=6)):
             assert collect(after) == reference_emissions(after)
+
+
+class TestCarriedCount:
+    """A labeled graph on at most 12 vertices is emitted with ind(G), ORed
+    from count_brute's edge patterns along the search, and count_brute
+    returns it after its cap check."""
+
+    def test_equals_count_brute_on_the_sweep_ranges(self):
+        checked = 0
+
+        def visit(g):
+            nonlocal checked
+            # a graph built from the same edges carries no count
+            fresh = Hypergraph(g.n, g.edges)
+            assert fresh._ind is None
+            assert g._ind == count_brute(fresh), g
+            checked += 1
+
+        for r, d, n_max in SWEEP_RANGES:
+            for n in range(r, n_max + 1):
+                enumerate_regular(EnumSpec(r=r, d=d, n=n), visit)
+        assert checked == 70335
+
+    def test_carried_only_by_labeled_graphs_up_to_12_vertices(self):
+        labeled = collect(EnumSpec(r=2, d=2, n=6))
+        assert all(g._ind is not None for g in labeled)
+        # 7!! = 105 perfect matchings of 14 vertices extend this prefix
+        above = collect(EnumSpec(r=2, d=1, n=14,
+                                 prefix=((0, 1), (2, 3), (4, 5))))
+        assert len(above) == 105
+        others = (collect(EnumSpec(r=2, d=2, n=6, up_to_iso=True)) + above
+                  + [build_hrd(3, 2)[0], build_matching(3, 2),
+                     Hypergraph(6, labeled[0].edges),
+                     read_hypergraph(write_hypergraph(labeled[0]))])
+        for g in others:
+            assert g._ind is None, g
+        assert count_brute(above[0]) == 3 ** 7
+
+    def test_branch_still_counts(self, monkeypatch):
+        calls = []
+
+        def spy(g):
+            calls.append(g)
+            return count_branch(g)
+
+        monkeypatch.setattr(counting, "count_branch", spy)
+        g = collect(EnumSpec(r=3, d=2, n=6))[0]
+        assert g._ind is not None
+        assert count(g, "branch") == g._ind
+        assert calls == [g]
+
+    def test_cap_comes_before_the_carried_count(self):
+        g = collect(EnumSpec(r=2, d=1, n=8))[0]
+        assert g._ind is not None
+        caps = Caps(brute=5, canon=12, entropy=24)
+        with pytest.raises(CapacityError) as err:
+            check_conjecture(g, caps)
+        assert str(err.value) == str(brute_cap_error(8, caps))
+
+    def test_equality_hash_pickle_and_canonical_form(self):
+        for g in collect(EnumSpec(r=3, d=2, n=6)):
+            fresh = Hypergraph(g.n, g.edges)
+            assert g == fresh and hash(g) == hash(fresh)
+            assert pickle.loads(pickle.dumps(g)) == g
+            assert canonical_form(g) == canonical_form(fresh)
+
+    def test_no_visit_builds_no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(Hypergraph, "_from_normalized", refuse)
+        for spec, total in [(EnumSpec(r=3, d=2, n=6), 75),
+                            (EnumSpec(r=2, d=2, n=9), 30016),
+                            (EnumSpec(r=2, d=1, n=14, prefix=((0, 1),)), 10395)]:
+            assert enumerate_regular(spec) == total
 
 
 class TestUpToIso:
