@@ -118,15 +118,20 @@ class Hypergraph:
         A caller that counted the independent sets may pass the count as
         ``ind``; ``count_brute`` then returns it on n <= 12 vertices after
         its cap check.  Only the integer is kept, in the instance dict like
-        the pair: it is no field, so equality and hashing ignore it."""
+        the pair: it is no field, so equality and hashing ignore it.
+
+        This is the one builder ``enumerate_regular`` calls, once per graph
+        a visit sees, so it writes the instance dict key by key without
+        building keyword arguments."""
         g = object.__new__(cls)
+        d = g.__dict__
+        d["n"] = n
+        d["edges"] = edges
         if (uniform_regular and edges and uniform_regular[0] >= 2
                 and uniform_regular[1] >= 1):
-            g.__dict__.update(n=n, edges=edges, _uniform_regular=uniform_regular)
-        else:
-            g.__dict__.update(n=n, edges=edges)
+            d["_uniform_regular"] = uniform_regular
         if ind is not None:
-            g.__dict__["_ind"] = ind
+            d["_ind"] = ind
         return g
 
     @cached_property

@@ -34,13 +34,13 @@ and the mask of residual-1 vertices; the next edge ranges over v's block
 from the first candidate past the previous edge, max(i, block[v]); and
 nothing else is read below the node.  The residuals sum to r times the
 number of edges left, so one table serves every level.  With one or two
-edges left an entry lists tails, (last edge,) or (edge, forced last edge)
-pairs; above that it lists (edge, that child's entries) for each edge whose
-child completes, sharing the child lists instead of flattening them into
-suffixes, which would take more memory.  Each entry lists its completions in
-the order the search would find them, so a node replays them in
-lexicographic order and the emission order is unchanged.  The table lives
-for one call.
+edges left an entry lists tails, (last edge,) or flat (edge, forced last
+edge, pattern) triples; above that it lists (edge, that child's entries) for
+each edge whose child completes, sharing the child lists instead of
+flattening them into suffixes, which would take more memory.  Each entry
+lists its completions in the order the search would find them, so a node
+replays them in lexicographic order and the emission order is unchanged.
+The table lives for one call.
 
 The depth is a constant, not the whole tree.  Above DEPTH the search stays
 a depth-first walk, so graphs stream out as they are found and the table
@@ -53,20 +53,27 @@ edges; depth 4 was 1-5% slower than 5, and depth 6 about 1% faster at
 0.3 MB more memory.
 
 Every labeled graph is emitted with its (r, d) passed to
-``Hypergraph._from_normalized``, so ``infer_uniform_regular`` (and with it
-``check_conjecture``) answers without scanning the edges and degrees again.
-The graph records the pair only where the inference would accept it
-(r >= 2, d >= 1 and at least one edge), so on the r = 1, d = 0 and n = 0
-specs the inference raises its usual error.  On n <= 12 vertices it is also
-emitted with its count ind(G), which ``count_brute`` returns after its cap
-check.  The count is 2^n less the popcount of the OR of the edges' patterns
-from count_brute's ``_edge_patterns(n)``, and the replay carries that OR
-down the shared prefixes: the chosen prefix is ORed once where the memo is
-entered, each deeper level ORs its one edge, and emission ORs the last one
-or two.  Where nothing is counted the table holds zeros, so one replay
-serves every run, and the memo entries hold edges only, never 2^n-bit
-patterns.  A labeled run with no visit builds no graph at all.  Up to
-isomorphism the emitted graph is the canonical form, which records nothing.
+``Hypergraph._from_normalized``, so ``check_conjecture`` reads them without
+scanning the edges and degrees again.  The graph records the pair only where
+``infer_uniform_regular`` would accept it (r >= 2, d >= 1 and at least one
+edge), so on the r = 1, d = 0 and n = 0 specs the check raises the
+inference's usual error.  On n <= 12 vertices it is also emitted with its
+count ind(G), which ``count_brute`` returns after its cap check.  The count
+is 2^n less the popcount of the OR of the edges' patterns from
+count_brute's ``_edge_patterns(n)``, and the replay carries that OR down the
+shared prefixes: the chosen prefix is ORed once where the memo is entered,
+each deeper level ORs its one edge, and a two-edge tail carries the OR of
+its own two patterns, so a graph costs one OR and one popcount, and it is
+built and visited inside the replay's innermost loop.  That OR is one
+integer per distinct pair of candidates, shared by every entry that holds
+the pair: r=4 d=2 n=10 has 65,385 two-edge entries over 5,465 pairs.  Among
+the sweep specs only r=3 d=1 n=12 has as many pairs as entries, 2,100 of
+512 bytes each, about 1.3 MB while it runs.  Where nothing is counted (up to
+isomorphism, or above 12 vertices) the pattern table holds zeros, so one
+replay and one memo serve every run, and those graphs are emitted one at a
+time.  A labeled run with no visit only tallies the tails and builds no
+graph at all.  Up to isomorphism the emitted graph is the canonical form,
+which records nothing.
 
 Up to isomorphism only the labeled graphs whose first edge is
 E0 = (0, 1, ..., r-1) are searched, and each is canonicalised; a class is
@@ -189,21 +196,14 @@ def enumerate_regular(spec: EnumSpec,
     tally_only = visit is None and not up_to_iso
     counted = visit is not None and not up_to_iso and n <= counting._CACHED_N
     pat = counting._edge_patterns(n) if counted else dict.fromkeys(candidates, 0)
+    build, top = Hypergraph._from_normalized, 1 << n
 
-    def emit(head: tuple, tail: tuple, hit: int) -> None:
-        """Emit head + tail; hit is the OR of the head's edge patterns."""
+    def emit(edges: tuple) -> None:
+        """Emit a graph that carries no count."""
         nonlocal emitted
-        if tally_only:
-            emitted += 1
-            return
-        ind = None
-        if counted:
-            for e in tail:
-                hit |= pat[e]
-            ind = (1 << n) - hit.bit_count()
         # m edges carry all n*d incidences, so every degree is d
-        # head + tail holds distinct candidates in increasing lex order
-        g = Hypergraph._from_normalized(n, head + tail, known, ind)
+        # the edges are distinct candidates in increasing lex order
+        g = build(n, edges, known)
         if up_to_iso:
             canon = canonical_form(g, spec.caps)
             if canon in seen_canon:
@@ -218,11 +218,14 @@ def enumerate_regular(spec: EnumSpec,
     # candidate its next edge may take and its residuals, which sum to r times
     # the number of edges left
     memo: dict[tuple[int, tuple[int, ...]], list] = {}
+    # pat[a] | pat[b] for each pair (j, k) of candidate indices that is a
+    # two-edge tail, one integer however many entries hold the pair
+    pair_pats: dict[tuple[int, int], int] = {}
 
     def completions(i: int, full: int, left: int) -> list:
         """The tails when at most two edges are left: (), (forced last
-        edge,) or (edge, forced last edge); above that (edge, that edge's
-        completions) for each edge that starts one."""
+        edge,) or (edge, forced last edge, OR of their patterns); above that
+        (edge, that edge's completions) for each edge that starts one."""
         if not left:
             return [()]
         # every vertex below v is full, so the next edge starts at v
@@ -249,7 +252,11 @@ def enumerate_regular(spec: EnumSpec,
                     continue
                 k = index.get(everyone & ~(full | mask & ones), -1)
                 if k > j:
-                    entries.append((candidates[j], candidates[k]))
+                    a, b = candidates[j], candidates[k]
+                    th = pat[a] | pat[b]
+                    if th:
+                        th = pair_pats.setdefault((j, k), th)
+                    entries.append((a, b, th))
         else:
             for j in range(start, block[v + 1]):
                 if masks[j] & full:
@@ -269,19 +276,30 @@ def enumerate_regular(spec: EnumSpec,
         return entries
 
     def replay(head: tuple, hit: int, entries: list, left: int) -> None:
-        # hit is the OR of the head's edge patterns
-        if left <= 2:
-            for tail in entries:
-                emit(head, tail, hit)
-        elif left == 3:
-            for e, pairs in entries:
-                head_e = head + (e,)
-                hit_e = hit | pat[e]
-                for pair in pairs:
-                    emit(head_e, pair, hit_e)
-        else:
+        """Emit head + each completion; hit is the OR of the head's edge
+        patterns.  A counted graph is built and visited right here."""
+        nonlocal emitted
+        if left > 2:
             for e, child in entries:
                 replay(head + (e,), hit | pat[e], child, left - 1)
+        elif tally_only:
+            emitted += len(entries)
+        elif not counted:
+            # a two-edge tail ends in its (zero) pattern
+            for tail in entries:
+                emit(head + tail[:left])
+        elif left == 2:
+            for a, b, th in entries:
+                visit(build(n, head + (a, b), known,
+                            top - (hit | th).bit_count()))
+            emitted += len(entries)
+        else:
+            # at most one tail, () or (forced last edge,)
+            for tail in entries:
+                for e in tail:
+                    hit |= pat[e]
+                visit(build(n, head + tail, known, top - hit.bit_count()))
+            emitted += len(entries)
 
     def rec(i: int, full: int) -> None:
         # every prefix, down to a whole graph, ends in the memo levels

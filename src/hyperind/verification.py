@@ -47,10 +47,11 @@ from functools import lru_cache
 from math import gcd, log2
 from typing import Iterable
 
+from . import counting
 from .constructions import build_complete_r_partite, \
     build_transversal_design_3
 from .core import Caps, Hypergraph, mask_of, quasi_bipartition, vertices_of
-from .counting import brute_cap_error, count, count_brute, \
+from .counting import brute_cap_error, count_brute, \
     independent_set_masks, ind_hrd_formula
 from .errors import CapacityError, InvalidArgumentError
 
@@ -100,15 +101,18 @@ def _verdict(r: int, d: int, n: int, ind_g: int) -> ConjectureVerdict:
 def check_conjecture(g: Hypergraph, caps: Caps = Caps()) -> ConjectureVerdict:
     """Exact verdict on whether g respects the extremal bound of H(r,d).
 
-    r and d come from ``infer_uniform_regular``: a graph that
-    ``enumerate_regular`` emitted carries them, and any other graph is
-    scanned once and keeps the result.  ind(G) is counted (method
-    ``"auto"``) on every call.  The verdict is a function of (r, d, n,
-    ind(G)) alone, so it is memoised on that key and equal keys share one
-    frozen ``ConjectureVerdict``: a labeled sweep meets few distinct keys and
-    pays for the big-integer powers and the logarithms once per key."""
-    r, d = infer_uniform_regular(g)
-    return _verdict(r, d, g.n, count(g, "auto", caps))
+    r and d are g's cached ``_uniform_regular``, the answer of
+    ``infer_uniform_regular``: a graph that ``enumerate_regular`` emitted
+    carries them, and any other graph is scanned once and keeps the result.
+    ind(G) comes from ``counting.count_auto``, looked up on the module at
+    call time, on every call; on a labeled graph of at most 12 vertices
+    that the enumeration emitted, ``count_brute`` returns the count the
+    graph carries.  The verdict is a function of (r, d, n, ind(G)) alone, so
+    it is memoised on that key and equal keys share one frozen
+    ``ConjectureVerdict``: a labeled sweep meets few distinct keys and pays
+    for the big-integer powers and the logarithms once per key."""
+    r, d = g._uniform_regular
+    return _verdict(r, d, g.n, counting.count_auto(g, caps))
 
 
 def is_union_of_kdd(g: Hypergraph, d: int) -> bool:

@@ -167,6 +167,11 @@ def _fits(prefix, n, d):
     return max(degree, default=0) <= d
 
 
+def _assert_carried_counts(graphs):
+    for g in graphs:
+        assert g._ind == count_brute(Hypergraph(g.n, g.edges)), g
+
+
 class TestForcedLastEdge:
     """The last edge is looked up, not scanned for, inside the candidate loop
     of the last-but-one level, and the last DEPTH edges come from one memo
@@ -188,6 +193,8 @@ class TestForcedLastEdge:
                 got = collect(spec)
                 assert got == reference_emissions(spec), prefix
                 assert left > 1 or len(got) <= 1
+                # the prefix enters the replay at this memo level
+                _assert_carried_counts(got)
                 emitted += len(got)
         # each labeled graph completes exactly one prefix of its first
         # m - left edges
@@ -222,7 +229,9 @@ class TestForcedLastEdge:
         for r, d, n in self.SPECS:
             for g in collect(EnumSpec(r=r, d=d, n=n)):
                 spec = EnumSpec(r=r, d=d, n=n, prefix=g.edges)
-                assert collect(spec) == reference_emissions(spec) == [g]
+                got = collect(spec)
+                assert got == reference_emissions(spec) == [g]
+                _assert_carried_counts(got)
 
     def test_single_edge_specs(self):
         for r in range(1, 7):
@@ -287,6 +296,10 @@ class TestCarriedCount:
     from count_brute's edge patterns along the search, and count_brute
     returns it after its cap check."""
 
+    # beyond the sweep ranges: two-edge tails of 4-vertex edges, of 3-vertex
+    # edges at degree 3, and of 2-vertex edges at degree 4
+    WIDER = [(4, 2, 8), (3, 3, 7), (2, 4, 8)]
+
     def test_equals_count_brute_on_the_sweep_ranges(self):
         checked = 0
 
@@ -298,10 +311,10 @@ class TestCarriedCount:
             assert g._ind == count_brute(fresh), g
             checked += 1
 
-        for r, d, n_max in SWEEP_RANGES:
+        for r, d, n_max in SWEEP_RANGES + self.WIDER:
             for n in range(r, n_max + 1):
                 enumerate_regular(EnumSpec(r=r, d=d, n=n), visit)
-        assert checked == 70335
+        assert checked == 70335 + 33254
 
     def test_carried_only_by_labeled_graphs_up_to_12_vertices(self):
         labeled = collect(EnumSpec(r=2, d=2, n=6))
