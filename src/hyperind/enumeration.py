@@ -287,7 +287,7 @@ def enumerate_regular(spec: EnumSpec,
         elif not counted:
             # a two-edge tail ends in its (zero) pattern
             for tail in entries:
-                emit(head + tail[:left])
+                emit(head + tail[:2])
         elif left == 2:
             for a, b, th in entries:
                 visit(build(n, head + (a, b), known,
