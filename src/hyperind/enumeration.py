@@ -75,17 +75,27 @@ time.  A labeled run with no visit only tallies the tails and builds no
 graph at all.  Up to isomorphism the emitted graph is the canonical form,
 which records nothing.
 
-Up to isomorphism only the labeled graphs whose first edge is
-E0 = (0, 1, ..., r-1) are searched, and each is canonicalised; a class is
-emitted at its first labeled member.  That member starts with E0: relabel
-any member so that one of its edges lands on {0, ..., r-1}, and E0, the
-lex-least r-set, is then its first edge.  The graphs starting with E0 are an
-initial segment of the labeled order, so the classes and their order are
-those of the full labeled search, which canonicalises about three times as
-many graphs (465 against 155 on r=2 d=2 n=7).  An empty prefix searches E0,
-a prefix that starts elsewhere emits nothing, and specs without edges are
-searched as in the labeled case.  This is the first-edge case of orderly
-generation (McKay, "Isomorph-free exhaustive generation", 1998).
+Up to isomorphism only the labeled graphs whose first two edges are
+E0 = (0, 1, ..., r-1) and some S_t = (0, ..., t-1, r, ..., 2r-t-1) are
+searched, and each is canonicalised; a class is emitted at its first labeled
+member G, the lex-least one.  G starts with E0: relabel any member so that
+one of its edges lands on {0, ..., r-1}, and E0, the lex-least r-set, is
+then its first edge.  Say G's second edge e2 meets E0 in t vertices.
+Relabel G so that E0 maps onto itself, the vertices of e2 in E0 onto
+0..t-1 and its other vertices onto r..2r-t-1.  The result has edges E0 and
+S_t, so its second edge is at most S_t, and it is no smaller than G, so
+e2 <= S_t.  Sorted tuples of one length compare elementwise, and e2 >= S_t
+elementwise, so e2 = S_t.  The S_t are tried in increasing lex order,
+t = r-1 down to 0, each as the prefix (E0, S_t) of the one search; an S_t
+that leaves 0..n-1 or overfills a vertex is skipped, and one that misses
+the lowest open vertex ends at the block prune.  So the searched graphs
+hold every class's first member in labeled order, and the classes and their
+order are those of the full labeled search, which canonicalises fifteen
+times as many graphs (465 against 31 on r=2 d=2 n=7; 155 under E0 alone).  An empty prefix searches
+every (E0, S_t), a prefix whose first edge is not E0 or whose second edge is
+no S_t emits nothing, and specs without edges are searched as in the
+labeled case.  This is the second-edge case of orderly generation (McKay,
+"Isomorph-free exhaustive generation", 1998).
 """
 
 from __future__ import annotations
@@ -140,9 +150,10 @@ def enumerate_regular(spec: EnumSpec,
     exactly once (one representative per isomorphism class when up_to_iso),
     calling `visit` on each.  Returns the number emitted.
 
-    Up to isomorphism the search starts from the first edge E0 = (0, ..., r-1),
-    which begins the first labeled member of every class (see the module
-    docstring); a prefix that does not start with E0 emits nothing."""
+    Up to isomorphism the search starts from the first edges E0 = (0, ..., r-1)
+    and S_t = (0, ..., t-1, r, ..., 2r-t-1), which begin the first labeled
+    member of every class (see the module docstring); a prefix that does not
+    start with E0, or whose second edge is no S_t, emits nothing."""
     if not spec.feasible:
         return 0
     candidates = list(itertools.combinations(range(spec.n), spec.r))
@@ -161,29 +172,45 @@ def enumerate_regular(spec: EnumSpec,
     residual = [spec.d] * spec.n
     chosen: list[tuple[int, ...]] = []
 
+    def place(prefix: tuple) -> int:
+        """Reset the search state to prefix, checking its edges, and return
+        the first candidate index the next edge may take."""
+        residual[:] = [spec.d] * spec.n
+        chosen.clear()
+        start = 0
+        for e in prefix:
+            try:
+                idx = candidates.index(tuple(e))
+            except ValueError:
+                raise InvalidArgumentError(f"prefix edge {e} is not a valid candidate")
+            if idx < start:
+                raise InvalidArgumentError("prefix edges must be lexicographically increasing")
+            if any(residual[v] == 0 for v in e):
+                raise InvalidArgumentError(f"prefix edge {e} overfills a vertex degree")
+            for v in e:
+                residual[v] -= 1
+            chosen.append(tuple(e))
+            start = idx + 1
+        return start
+
     prefix = spec.prefix
-    # up to isomorphism only the graphs whose first edge is E0 are searched;
-    # they hold the first labeled member of every class
-    e0 = tuple(range(spec.r))
+    # up to isomorphism only the graphs whose first two edges are E0 and some
+    # S_t are searched; they hold the first labeled member of every class
+    r, e0 = spec.r, tuple(range(spec.r))
     if spec.up_to_iso and m and not prefix:
         prefix = (e0,)
-
-    start = 0
-    for e in prefix:
-        try:
-            idx = candidates.index(tuple(e))
-        except ValueError:
-            raise InvalidArgumentError(f"prefix edge {e} is not a valid candidate")
-        if idx < start:
-            raise InvalidArgumentError("prefix edges must be lexicographically increasing")
-        if any(residual[v] == 0 for v in e):
-            raise InvalidArgumentError(f"prefix edge {e} overfills a vertex degree")
-        for v in e:
-            residual[v] -= 1
-        chosen.append(tuple(e))
-        start = idx + 1
-    if spec.up_to_iso and m and chosen[0] != e0:
-        return 0
+    place(prefix)
+    prefixes = [prefix]
+    if spec.up_to_iso and m:
+        if chosen[0] != e0:
+            return 0
+        # S_t = (0..t-1, r..2r-t-1) in increasing lex order, t = r-1 down to 0
+        seconds = [tuple(range(t)) + tuple(range(r, 2 * r - t))
+                   for t in range(r - 1, -1, -1) if 2 * r - t <= spec.n]
+        if len(chosen) > 1 and chosen[1] not in seconds:
+            return 0
+        if len(chosen) == 1 and m > 1:
+            prefixes = [(e0, s) for s in seconds if all(residual[v] for v in s)]
 
     seen_canon: set[Hypergraph] = set()
     emitted = 0
@@ -330,9 +357,10 @@ def enumerate_regular(spec: EnumSpec,
             for u in e:
                 residual[u] += 1
 
-    full = core.mask_of(v for v in range(spec.n) if residual[v] == 0)
     try:
-        rec(start, full)
+        for prefix in prefixes:
+            start = place(prefix)
+            rec(start, core.mask_of(v for v in range(n) if residual[v] == 0))
     finally:
         # these refer to themselves through their closures; without this the
         # memo would wait for a cyclic collection to be freed

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -394,6 +395,27 @@ class TestCanonicalForm:
             g = random_hypergraph(rng.randint(1, 8), 2, rng)
             canon = canonical_form(g)
             assert canonical_form(canon) == canon
+
+    def test_forms_share_their_edge_tuples(self, rng):
+        g = build_complete_r_partite(2, 5)
+        a, b = canonical_form(relabeled(g, rng)), canonical_form(relabeled(g, rng))
+        assert a == b
+        assert all(x is y for x, y in zip(a.edges, b.edges))
+        # a form is the value the public constructor builds from its edges
+        built = Hypergraph(a.n, reversed(a.edges))
+        assert a == built and hash(a) == hash(built) and a.edges == built.edges
+        assert a.edge_masks == built.edge_masks
+
+    def test_no_reference_cycle_left(self, rng):
+        g = build_complete_r_partite(2, 5)
+        gc.disable()
+        try:
+            gc.collect()
+            for _ in range(10):
+                canonical_form(relabeled(g, rng))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_cap(self):
         with pytest.raises(CapacityError):

@@ -159,6 +159,15 @@ class TestEmissionOrder:
             assert collect(spec) == reference_emissions(spec), (r, d, n)
 
 
+def second_edges(r, n):
+    """S_t = (0..t-1, r..2r-t-1) for t = r-1 down to 0, in lex order, that
+    fit on n vertices."""
+    out = [tuple(range(t)) + tuple(range(r, 2 * r - t))
+           for t in range(r - 1, -1, -1) if 2 * r - t <= n]
+    assert out == sorted(out)
+    return out
+
+
 def _fits(prefix, n, d):
     degree = [0] * n
     for e in prefix:
@@ -261,13 +270,14 @@ class TestMemoLifetime:
 
     def test_no_reference_cycle_left(self):
         # the first spec lies inside the memo; the second also runs the
-        # search above it
+        # search above it; the third canonicalises each graph it searches
         small, large = EnumSpec(r=3, d=2, n=6), EnumSpec(r=2, d=2, n=9)
+        iso = EnumSpec(r=3, d=3, n=7, up_to_iso=True)
         assert small.num_edges <= enumeration.DEPTH < large.num_edges
         gc.disable()
         try:
             gc.collect()
-            for spec, total in [(small, 75), (large, 30016)]:
+            for spec, total in [(small, 75), (large, 30016), (iso, 10)]:
                 assert enumerate_regular(spec) == total
                 assert gc.collect() == 0
                 assert len(collect(spec)) == total
@@ -402,23 +412,26 @@ class TestUpToIso:
         caps = Caps(brute=7, canon=6, entropy=5)
         assert enumerate_regular(EnumSpec(r=2, d=1, n=6, up_to_iso=True,
                                           caps=caps)) == 1
-        # only the 3 perfect matchings that contain (0, 1) are searched
-        assert seen == [caps] * 3
+        # of the 3 perfect matchings that contain (0, 1) only the one whose
+        # second edge is (2, 3) is searched; (0, 2) would overfill vertex 0
+        assert seen == [caps]
 
     def test_canonical_forms_only_under_the_first_edge(self, monkeypatch):
         calls = []
 
         def counted(g, caps):
-            calls.append(g.edges[0])
+            calls.append(g.edges[:2])
             return canonical_form(g, caps)
 
         monkeypatch.setattr(enumeration, "canonical_form", counted)
-        # 465 and 330 labeled graphs; 155 and 99 of them start with E0
-        for r, d, n, want in [(2, 2, 7, 155), (3, 3, 6, 99)]:
+        # 465 and 330 labeled graphs; 155 and 99 of them start with E0, and
+        # 31 and 29 of those continue with some S_t
+        for r, d, n, want in [(2, 2, 7, 31), (3, 3, 6, 29)]:
             calls.clear()
             enumerate_regular(EnumSpec(r=r, d=d, n=n, up_to_iso=True))
             assert len(calls) == want, (r, d, n)
-            assert set(calls) == {tuple(range(r))}
+            assert {first for first, _ in calls} == {tuple(range(r))}
+            assert {second for _, second in calls} <= set(second_edges(r, n))
 
     def test_complete_hypergraph_far_above_the_memo(self):
         # every vertex misses exactly one edge, so only one branch completes;
@@ -477,6 +490,34 @@ class TestPrefixSplitting:
                     assert enumerate_regular(other) == 0, (r, d, n, e)
             chunk = EnumSpec(r=r, d=d, n=n, up_to_iso=True, prefix=(e0,))
             assert collect(chunk) == collect(spec), (r, d, n)
+
+    def test_up_to_iso_second_edge_chunks(self):
+        # concatenated in lex order, the (E0, S_t) chunks give the unsplit
+        # run once each class is kept at its first emission
+        for r, d, n in [(2, 2, 7), (2, 3, 6), (3, 1, 6), (3, 2, 6), (3, 3, 7),
+                        (4, 2, 8), (2, 2, 9)]:
+            spec = EnumSpec(r=r, d=d, n=n, up_to_iso=True)
+            e0 = tuple(range(r))
+            merged = []
+            for s in second_edges(r, n):
+                if _fits((e0, s), n, d):
+                    chunk = EnumSpec(r=r, d=d, n=n, up_to_iso=True, prefix=(e0, s))
+                    merged.extend(g for g in collect(chunk) if g not in merged)
+            assert merged == collect(spec), (r, d, n)
+
+    def test_up_to_iso_nothing_under_other_second_edges(self):
+        for r, d, n in [(2, 2, 7), (2, 3, 6), (3, 2, 6), (3, 3, 7), (4, 2, 8)]:
+            e0 = tuple(range(r))
+            others = [e for e in itertools.combinations(range(n), r)
+                      if e > e0 and e not in second_edges(r, n)
+                      and _fits((e0, e), n, d)]
+            assert others
+            for e in others:
+                spec = EnumSpec(r=r, d=d, n=n, up_to_iso=True, prefix=(e0, e))
+                assert enumerate_regular(spec) == 0, (r, d, n, e)
+            # the labeled search finds graphs under some of them
+            assert any(enumerate_regular(EnumSpec(r=r, d=d, n=n, prefix=(e0, e)))
+                       for e in others)
 
     def test_invalid_prefix(self):
         with pytest.raises(InvalidArgumentError):
