@@ -120,9 +120,11 @@ class Hypergraph:
         its cap check.  Only the integer is kept, in the instance dict like
         the pair: it is no field, so equality and hashing ignore it.
 
-        ``enumerate_regular`` calls it once per graph a visit sees, so it
-        writes the instance dict key by key without building keyword
-        arguments.  ``canonical_form`` builds every form with it, from edge
+        It writes the instance dict key by key without building keyword
+        arguments.  ``enumerate_regular`` is the second writer: its counted
+        loop writes the same four keys itself for a pair it has checked
+        once per run, and calls this for every other graph it emits.
+        ``canonical_form`` builds every form with it, from edge
         tuples taken from one shared table, and it keeps the tuple it is
         given, so forms share their edge objects."""
         g = object.__new__(cls)

@@ -24,51 +24,64 @@ Every prefix, down to a whole graph, goes through the same search.
 
 The last DEPTH = 5 edges are memoised.  The bottom of the search tree
 repeats: on the labeled sweep ranges a search without a memo visits 72,360,
-35,312, 14,393 and 5,314 nodes with 2, 3, 4 and 5 edges left, and they
-reach only 1,088, 1,351, 1,649 and 1,252 distinct states.  So the
-completions of a node with at most DEPTH edges left are computed once per
-state and replayed after the chosen prefix, from one table keyed by (first
-candidate the next edge may take, residual degrees).  The key is exact.
-The residuals fix the full vertices, and with them the lowest open vertex v
-and the mask of residual-1 vertices; the next edge ranges over v's block
-from the first candidate past the previous edge, max(i, block[v]); and
-nothing else is read below the node.  The residuals sum to r times the
-number of edges left, so one table serves every level.  With one or two
-edges left an entry lists tails, (last edge,) or flat (edge, forced last
-edge, pattern) triples; above that it lists (edge, that child's entries) for
-each edge whose child completes, sharing the child lists instead of
-flattening them into suffixes, which would take more memory.  Each entry
-lists its completions in the order the search would find them, so a node
-replays them in lexicographic order and the emission order is unchanged.
-The table lives for one call.
+35,312, 14,393 and 5,314 nodes with 2, 3, 4 and 5 edges left, and they reach
+only 1,088, 1,351, 1,649 and 1,252 distinct states.  So the completions of a
+node with at most DEPTH edges left are computed once per state and replayed
+after the chosen prefix, from one table keyed by the first candidate the
+next edge may take, start, and the residual degrees.  The search carries the
+residuals as one integer as well, code = sum of residual[u] << w*u with w =
+d.bit_length(), and a chosen candidate lowers it by its own sum of 1 << w*u,
+computed once per run.  The key is the integer code << shift | start, with
+shift = len(candidates).bit_length().  The key is exact.  Each w-bit field
+holds a residual of at most d < 2^w, and start <= len(candidates) < 2^shift,
+so the key gives back start and every residual.  The residuals fix the full
+vertices, and with them the lowest open vertex v and the mask of residual-1
+vertices; the next edge ranges over v's block from the first candidate past
+the previous edge, max(i, block[v]); and nothing else is read below the
+node.  The residuals sum to r times the number of edges left, so one table
+serves every level.  With one or two edges left an entry lists tails, (last
+edge,) or flat (edge, forced last edge, pattern) triples; above that it
+lists (edge, that child's entries) for each edge whose child completes,
+sharing the child lists instead of flattening them into suffixes, which
+would take more memory.  Each entry lists its completions in the order the
+search would find them, so a node replays them in lexicographic order and
+the emission order is unchanged.  The table lives for one call.
 
 The depth is a constant, not the whole tree.  Above DEPTH the search stays
 a depth-first walk, so graphs stream out as they are found and the table
 holds only the states within DEPTH edges of a leaf.  A table over every
 level would emit nothing until the whole tree was built: on r=4 d=2 n=12
 it emits its first graph after 23 s at 577 MB, against 0.3 s at 25 MB with
-depth 5, and on r=2 d=3 n=12 after 4 s at 184 MB.  On the perfbench
-`sweep` workload depth 5 ran 15% faster than a memo of the last three
-edges; depth 4 was 1-5% slower than 5, and depth 6 about 1% faster at
-0.3 MB more memory.
+depth 5, and on r=2 d=3 n=12 after 4 s at 184 MB.  Depth 6 already holds
+too much: r=4 d=2 n=12 emits its first graph after 18.7 s at 527 MB,
+against 0.33 s at 28 MB at depth 5.  A deeper table does pay on whole runs
+of small n: r=2 d=4 n=9 with ``check_conjecture`` took 4.5 s at depth 5,
+4.3 s at depth 6 and 3.4 s at depth 7 (one round, 2-core Xeon, figures in
+``BENCH_25.json``).  On the perfbench `sweep` workload depth 5 ran 15%
+faster than a memo of the last three edges, and depth 4 was 1-5% slower
+than 5.
 
-Every labeled graph is emitted with its (r, d) passed to
-``Hypergraph._from_normalized``, so ``check_conjecture`` reads them without
-scanning the edges and degrees again.  The graph records the pair only where
-``infer_uniform_regular`` would accept it (r >= 2, d >= 1 and at least one
-edge), so on the r = 1, d = 0 and n = 0 specs the check raises the
-inference's usual error.  On n <= 12 vertices it is also emitted with its
-count ind(G), which ``count_brute`` returns after its cap check.  The count
-is 2^n less the popcount of the OR of the edges' patterns from
-count_brute's ``_edge_patterns(n)``, and the replay carries that OR down the
-shared prefixes: the chosen prefix is ORed once where the memo is entered,
-each deeper level ORs its one edge, and a two-edge tail carries the OR of
-its own two patterns, so a graph costs one OR and one popcount, and it is
-built and visited inside the replay's innermost loop.  That OR is one
-integer per distinct pair of candidates, shared by every entry that holds
-the pair: r=4 d=2 n=10 has 65,385 two-edge entries over 5,465 pairs.  Among
-the sweep specs only r=3 d=1 n=12 has as many pairs as entries, 2,100 of
-512 bytes each, about 1.3 MB while it runs.  Where nothing is counted (up to
+Every labeled graph is emitted with its (r, d) recorded as
+``Hypergraph._from_normalized`` records it, so ``check_conjecture`` reads
+them without scanning the edges and degrees again.  The graph records the
+pair only where ``infer_uniform_regular`` would accept it (r >= 2, d >= 1
+and at least one edge), so on the r = 1, d = 0 and n = 0 specs the check
+raises the inference's usual error.  On n <= 12 vertices it is also emitted
+with its count ind(G), which ``count_brute`` returns after its cap check.
+The count is 2^n less the popcount of the OR of the edges' patterns from
+count_brute's ``_edge_patterns(n)``, and the search carries that OR down:
+each chosen edge ORs its pattern into the one passed to the next level,
+each replayed level ORs its one edge, and a two-edge tail carries the OR of
+its own two patterns, so a graph costs one OR and one popcount.  A tail's
+OR is one integer per distinct pair of candidates, shared by every entry
+that holds the pair: r=4 d=2 n=10 has 65,385 two-edge entries over 5,465
+pairs.  Among the sweep specs only r=3 d=1 n=12 has as many pairs as
+entries, 2,100 of 512 bytes each, about 1.3 MB while it runs.  With three
+edges left the replay walks each edge's two-edge tails in one loop and
+writes each graph's instance dict there, the same four keys
+``_from_normalized`` would write; whether the pair may be recorded is
+decided once per run, and a run that records none (r = 1) replays level by
+level through ``_from_normalized`` instead.  Where nothing is counted (up to
 isomorphism, or above 12 vertices) the pattern table holds zeros, so one
 replay and one memo serve every run, and those graphs are emitted one at a
 time.  A labeled run with no visit only tallies the tails and builds no
@@ -214,16 +227,26 @@ def enumerate_regular(spec: EnumSpec,
 
     seen_canon: set[Hypergraph] = set()
     emitted = 0
-    # recorded only where infer_uniform_regular would accept it
+    # the pair is recorded only where infer_uniform_regular would accept it;
+    # build checks that for each graph, the counted loop once here
     known = (spec.r, spec.d)
+    recordable = spec.r >= 2 and spec.d >= 1 and m >= 1
     n, up_to_iso = spec.n, spec.up_to_iso
     # a labeled run with no visit builds no graph; one with a visit counts
     # each graph along the search from count_brute's edge patterns where
     # they are cached, and elsewhere the ORs run on zeros
     tally_only = visit is None and not up_to_iso
     counted = visit is not None and not up_to_iso and n <= counting._CACHED_N
+    # a counted graph with a recordable pair is built inline, two levels deep
+    two_level = counted and recordable
     pat = counting._edge_patterns(n) if counted else dict.fromkeys(candidates, 0)
-    build, top = Hypergraph._from_normalized, 1 << n
+    build, new, top = Hypergraph._from_normalized, Hypergraph.__new__, 1 << n
+
+    # the residuals as one integer, w bits per vertex, and what each
+    # candidate takes off it; a residual is at most d < 2^w
+    w = spec.d.bit_length()
+    dec = [sum(1 << w * u for u in e) for e in candidates]
+    shift = len(candidates).bit_length()
 
     def emit(edges: tuple) -> None:
         """Emit a graph that carries no count."""
@@ -241,15 +264,15 @@ def enumerate_regular(spec: EnumSpec,
         if visit is not None:
             visit(g)
 
-    # the completions of a node with 1..DEPTH edges left, keyed by the first
-    # candidate its next edge may take and its residuals, which sum to r times
-    # the number of edges left
-    memo: dict[tuple[int, tuple[int, ...]], list] = {}
+    # the completions of a node with 1..DEPTH edges left, keyed by its
+    # residuals' code and the first candidate its next edge may take; the
+    # residuals sum to r times the number of edges left
+    memo: dict[int, list] = {}
     # pat[a] | pat[b] for each pair (j, k) of candidate indices that is a
     # two-edge tail, one integer however many entries hold the pair
     pair_pats: dict[tuple[int, int], int] = {}
 
-    def completions(i: int, full: int, left: int) -> list:
+    def completions(i: int, full: int, code: int, left: int) -> list:
         """The tails when at most two edges are left: (), (forced last
         edge,) or (edge, forced last edge, OR of their patterns); above that
         (edge, that edge's completions) for each edge that starts one."""
@@ -258,7 +281,7 @@ def enumerate_regular(spec: EnumSpec,
         # every vertex below v is full, so the next edge starts at v
         v = (~full & (full + 1)).bit_length() - 1
         start = max(i, block[v])
-        key = (start, tuple(residual))
+        key = code << shift | start
         entries = memo.get(key)
         if entries is not None:
             return entries
@@ -294,7 +317,7 @@ def enumerate_regular(spec: EnumSpec,
                     residual[u] -= 1
                     if not residual[u]:
                         now_full |= 1 << u
-                child = completions(j + 1, now_full, left - 1)
+                child = completions(j + 1, now_full, code - dec[j], left - 1)
                 for u in e:
                     residual[u] += 1
                 if child:
@@ -306,9 +329,24 @@ def enumerate_regular(spec: EnumSpec,
         """Emit head + each completion; hit is the OR of the head's edge
         patterns.  A counted graph is built and visited right here."""
         nonlocal emitted
-        if left > 2:
+        if left > 3 or left == 3 and not two_level:
             for e, child in entries:
                 replay(head + (e,), hit | pat[e], child, left - 1)
+        elif left == 3:
+            # each edge's two-edge tails in place, every graph written as
+            # _from_normalized would write it with a recordable pair
+            for e, child in entries:
+                h = head + (e,)
+                p = hit | pat[e]
+                for a, b, th in child:
+                    g = new(Hypergraph)
+                    gd = g.__dict__
+                    gd["n"] = n
+                    gd["edges"] = h + (a, b)
+                    gd["_uniform_regular"] = known
+                    gd["_ind"] = top - (p | th).bit_count()
+                    visit(g)
+                emitted += len(child)
         elif tally_only:
             emitted += len(entries)
         elif not counted:
@@ -328,14 +366,12 @@ def enumerate_regular(spec: EnumSpec,
                 visit(build(n, head + tail, known, top - hit.bit_count()))
             emitted += len(entries)
 
-    def rec(i: int, full: int) -> None:
-        # every prefix, down to a whole graph, ends in the memo levels
+    def rec(i: int, full: int, code: int, hit: int) -> None:
+        # every prefix, down to a whole graph, ends in the memo levels; hit
+        # is the OR of the chosen edges' patterns
         left = m - len(chosen)
         if left <= DEPTH:
-            hit = 0
-            for e in chosen:
-                hit |= pat[e]
-            replay(tuple(chosen), hit, completions(i, full, left), left)
+            replay(tuple(chosen), hit, completions(i, full, code, left), left)
             return
         v = (~full & (full + 1)).bit_length() - 1
         start = max(i, block[v])
@@ -352,7 +388,7 @@ def enumerate_regular(spec: EnumSpec,
                 if not residual[u]:
                     now_full |= 1 << u
             chosen.append(e)
-            rec(j + 1, now_full)
+            rec(j + 1, now_full, code - dec[j], hit | pat[e])
             chosen.pop()
             for u in e:
                 residual[u] += 1
@@ -360,7 +396,11 @@ def enumerate_regular(spec: EnumSpec,
     try:
         for prefix in prefixes:
             start = place(prefix)
-            rec(start, core.mask_of(v for v in range(n) if residual[v] == 0))
+            hit = 0
+            for e in chosen:
+                hit |= pat[e]
+            rec(start, core.mask_of(v for v in range(n) if residual[v] == 0),
+                sum(residual[u] << w * u for u in range(n)), hit)
     finally:
         # these refer to themselves through their closures; without this the
         # memo would wait for a cyclic collection to be freed

@@ -1,9 +1,12 @@
 import itertools
+import pickle
 import random
 
 import pytest
 
-from hyperind import Hypergraph
+from hyperind import Hypergraph, InvalidArgumentError, enumeration, \
+    write_hypergraph
+from hyperind.verification import infer_uniform_regular
 
 # the labeled (r, d, n) ranges of the benchmark's sweep workload
 SWEEP_RANGES = [(2, 1, 10), (2, 2, 9), (2, 3, 8), (3, 1, 12), (3, 2, 6)]
@@ -60,6 +63,58 @@ def reference_verify_certificate(cert, g: Hypergraph) -> bool:
         if not is_matching(link) or cert.link_matchings[a] != link:
             return False
     return True
+
+
+def reference_infer_uniform_regular(g):
+    """Inference as it ran before its degree check moved into ``list.count``:
+    the edge-size and degree loops alone."""
+    if not g.edges:
+        raise InvalidArgumentError("hypergraph has no edges (degree d = 0 is rejected)")
+    r = len(g.edges[0])
+    for e in g.edges:
+        if len(e) != r:
+            raise InvalidArgumentError(
+                f"not uniform: edge {e} has size {len(e)}, expected {r}")
+    if r < 2:
+        raise InvalidArgumentError("uniformity r must be >= 2")
+    degs = g.degrees()
+    d = degs[0] if g.n else 0
+    for v, dv in enumerate(degs):
+        if dv != d:
+            raise InvalidArgumentError(
+                f"not regular: vertex {v} has degree {dv}, vertex 0 has degree {d}")
+    if d < 1:
+        raise InvalidArgumentError("degree d must be >= 1")
+    return r, d
+
+
+def assert_recorded_pair_is_invisible(g, pair):
+    """g was emitted with its (r, d) recorded: the pair is the one the
+    reference loops infer from the same edges, and g compares, hashes,
+    prints, writes and survives a pickle round trip like an unrecorded
+    copy."""
+    assert vars(g)["_uniform_regular"] == pair, g
+    h = Hypergraph(g.n, g.edges)
+    assert infer_uniform_regular(g) == reference_infer_uniform_regular(h) == pair
+    assert g == h and hash(g) == hash(h), g
+    assert repr(g) == repr(h) and write_hypergraph(g) == write_hypergraph(h)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == h and hash(back) == hash(h) and repr(back) == repr(h)
+
+
+def refuse_graphs(monkeypatch):
+    """Make every way the enumeration builds a graph raise: through
+    ``Hypergraph._from_normalized``, and through ``Hypergraph.__new__`` as
+    the enumeration module looks it up, which its counted loop calls to
+    write each graph's instance dict itself."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    class Refused:
+        __new__ = _from_normalized = refuse
+
+    monkeypatch.setattr(Hypergraph, "_from_normalized", refuse)
+    monkeypatch.setattr(enumeration, "Hypergraph", Refused)
 
 
 @pytest.fixture

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from hyperind import (Hypergraph, build_hrd, build_matching, cli,
-                      random_quasi_bipartite, verification, write_hypergraph)
+from hyperind import (build_hrd, build_matching, cli, random_quasi_bipartite,
+                      verification, write_hypergraph)
 from hyperind.cli import main
+
+from conftest import refuse_graphs
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -434,10 +436,7 @@ class TestEnumerate:
 
     def test_count_only_builds_no_graph(self, capsys, monkeypatch):
         # with neither --emit nor --check-conjecture the workers only count
-        def refuse(*args, **kwargs):
-            raise AssertionError("a graph was built")
-
-        monkeypatch.setattr(Hypergraph, "_from_normalized", refuse)
+        refuse_graphs(monkeypatch)
         code, out, _ = run(capsys, ["enumerate", "--r", "2", "--d", "2", "--n", "7"])
         assert code == 0
         assert out == "emitted: 465\n"

@@ -11,7 +11,8 @@ from hyperind import counting, enumeration
 from hyperind.counting import brute_cap_error, count, count_branch, count_brute
 from hyperind.enumeration import first_edge_choices
 
-from conftest import SWEEP_RANGES
+from conftest import SWEEP_RANGES, assert_recorded_pair_is_invisible, \
+    refuse_graphs
 
 
 def collect(spec):
@@ -370,14 +371,50 @@ class TestCarriedCount:
             assert canonical_form(g) == canonical_form(fresh)
 
     def test_no_visit_builds_no_graph(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a graph was built")
-
-        monkeypatch.setattr(Hypergraph, "_from_normalized", refuse)
+        refuse_graphs(monkeypatch)
         for spec, total in [(EnumSpec(r=3, d=2, n=6), 75),
                             (EnumSpec(r=2, d=2, n=9), 30016),
                             (EnumSpec(r=2, d=1, n=14, prefix=((0, 1),)), 10395)]:
             assert enumerate_regular(spec) == total
+
+
+class TestRecordedPair:
+    """A labeled graph records its (r, d) only where infer_uniform_regular
+    would accept it: r >= 2, d >= 1 and at least one edge."""
+
+    def test_r1_rejected_by_the_check(self):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^uniformity r must be >= 2$"):
+            enumerate_regular(EnumSpec(r=1, d=1, n=3), check_conjecture)
+        # six edges reach the replay's level of three edges left, which an
+        # r = 1 run passes through level by level; the count still rides along
+        g = collect(EnumSpec(r=1, d=1, n=6))[0]
+        assert "_uniform_regular" not in vars(g) and g._ind == 1
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^uniformity r must be >= 2$"):
+            check_conjecture(g)
+
+    def test_no_edges_rejected_by_the_check(self):
+        for spec in (EnumSpec(r=2, d=2, n=0), EnumSpec(r=2, d=0, n=4)):
+            with pytest.raises(InvalidArgumentError, match=(
+                    r"^hypergraph has no edges \(degree d = 0 is rejected\)$")):
+                enumerate_regular(spec, check_conjecture)
+
+    def test_graphs_built_in_the_counted_loop(self, monkeypatch):
+        # with _from_normalized refused, every graph a visit sees was
+        # written in the replay's two-level loop
+        def refuse(*args, **kwargs):
+            raise AssertionError("built by _from_normalized")
+
+        monkeypatch.setattr(Hypergraph, "_from_normalized", refuse)
+        for r, d, n, total in [(2, 1, 6, 15), (2, 2, 7, 465), (3, 2, 6, 75),
+                               (4, 2, 8, 1855)]:
+            seen = []
+            assert enumerate_regular(EnumSpec(r=r, d=d, n=n), seen.append) == total
+            assert len(seen) == total
+            for g in seen:
+                assert_recorded_pair_is_invisible(g, (r, d))
+                assert g._ind == count_brute(Hypergraph(g.n, g.edges)), g
 
 
 class TestUpToIso:

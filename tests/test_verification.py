@@ -1,6 +1,5 @@
 import itertools
 import math
-import pickle
 import random
 from dataclasses import replace
 from math import log2
@@ -14,8 +13,7 @@ from hyperind import (Caps, CapacityError, EnumSpec, Hypergraph,
                       compare_constructions, disjoint_union, entropy,
                       enumerate_regular,
                       joint_distribution, marginal, mask_of, quasi_bipartition,
-                      random_quasi_bipartite, verify_proof_steps, vertices_of,
-                      write_hypergraph)
+                      random_quasi_bipartite, verify_proof_steps, vertices_of)
 from hyperind import counting, verification
 from hyperind.counting import METHODS, count, count_brute, ind_hrd_formula
 from hyperind.enumeration import first_edge_choices
@@ -25,7 +23,8 @@ from hyperind.verification import (PROOF_EPS, ConjectureVerdict, ProofStep,
                                    _power_sum, _tighter,
                                    infer_uniform_regular, is_union_of_kdd)
 
-from conftest import link_edges
+from conftest import assert_recorded_pair_is_invisible, link_edges, \
+    reference_infer_uniform_regular
 
 
 def cycle(n):
@@ -128,29 +127,6 @@ class TestCheckConjecture:
         assert calls == [("count_brute", g), ("count_branch", g)]
 
 
-def reference_infer_uniform_regular(g):
-    """Inference as it ran before its degree check moved into ``list.count``:
-    the edge-size and degree loops alone."""
-    if not g.edges:
-        raise InvalidArgumentError("hypergraph has no edges (degree d = 0 is rejected)")
-    r = len(g.edges[0])
-    for e in g.edges:
-        if len(e) != r:
-            raise InvalidArgumentError(
-                f"not uniform: edge {e} has size {len(e)}, expected {r}")
-    if r < 2:
-        raise InvalidArgumentError("uniformity r must be >= 2")
-    degs = g.degrees()
-    d = degs[0] if g.n else 0
-    for v, dv in enumerate(degs):
-        if dv != d:
-            raise InvalidArgumentError(
-                f"not regular: vertex {v} has degree {dv}, vertex 0 has degree {d}")
-    if d < 1:
-        raise InvalidArgumentError("degree d must be >= 1")
-    return r, d
-
-
 def _outcome(infer, g):
     try:
         return infer(g)
@@ -250,20 +226,6 @@ def _direct_verdict(g, r, d):
                              slack_bits=slack)
 
 
-def _assert_recorded_pair_is_invisible(g, pair):
-    """g was emitted with its (r, d) recorded: the pair is the one the
-    reference loops infer from the same edges, and g compares, hashes,
-    prints, writes and survives a pickle round trip like an unrecorded
-    copy."""
-    assert vars(g)["_uniform_regular"] == pair, g
-    h = Hypergraph(g.n, g.edges)
-    assert infer_uniform_regular(g) == reference_infer_uniform_regular(h) == pair
-    assert g == h and hash(g) == hash(h), g
-    assert repr(g) == repr(h) and write_hypergraph(g) == write_hypergraph(h)
-    back = pickle.loads(pickle.dumps(g))
-    assert back == h and hash(back) == hash(h) and repr(back) == repr(h)
-
-
 class TestMemoisedVerdict:
     # the labeled sweep ranges of the conjecture hunt, up to n = 8
     RANGES = [(2, 1, 8), (2, 2, 8), (2, 3, 8), (3, 1, 8), (3, 2, 6)]
@@ -274,7 +236,7 @@ class TestMemoisedVerdict:
             for n in range(r, n_max + 1):
                 def visit(g, r=r, d=d):
                     nonlocal checked
-                    _assert_recorded_pair_is_invisible(g, (r, d))
+                    assert_recorded_pair_is_invisible(g, (r, d))
                     got = check_conjecture(g)
                     want = _direct_verdict(g, r, d)
                     assert got == want, g
@@ -291,7 +253,7 @@ class TestMemoisedVerdict:
         emitted = []
         enumerate_regular(replace(spec, prefix=(first,)), emitted.append)
         assert emitted and emitted[0].edges[0] == first
-        _assert_recorded_pair_is_invisible(emitted[0], (3, 2))
+        assert_recorded_pair_is_invisible(emitted[0], (3, 2))
         assert check_conjecture(emitted[0]) == _direct_verdict(emitted[0], 3, 2)
 
     def test_equal_counts_at_different_n(self):
