@@ -559,6 +559,22 @@ class TestPrefixSplitting:
     def test_invalid_prefix(self):
         with pytest.raises(InvalidArgumentError):
             enumerate_regular(EnumSpec(r=2, d=1, n=4, prefix=((0, 1), (0, 2))))
+        # up to isomorphism a prefix is checked before it is found to start
+        # no class: edges out of lex order, an edge that is no candidate, and
+        # an edge that overfills vertex 0
+        invalid = [(d, prefix) for d in (1, 2)
+                   for prefix in (((0, 2), (0, 1)), ((1, 0),), ((1, 2), (0, 3)))]
+        for d, prefix in invalid + [(1, ((0, 1), (0, 2)))]:
+            with pytest.raises(InvalidArgumentError):
+                enumerate_regular(EnumSpec(r=2, d=d, n=6, up_to_iso=True,
+                                           prefix=prefix))
+        assert enumerate_regular(EnumSpec(r=2, d=2, n=6, up_to_iso=True,
+                                          prefix=((0, 1), (0, 2)))) == 2
+        # list edges give the counts of tuple edges
+        for prefix, counts in [([[0, 1]], (1, 2)), ([[0, 1], [2, 3]], (1, 0))]:
+            for d, want in zip((1, 2), counts):
+                spec = EnumSpec(r=2, d=d, n=6, up_to_iso=True, prefix=prefix)
+                assert enumerate_regular(spec) == want, (prefix, d)
 
 
 class TestSpecValidation:
