@@ -23,15 +23,14 @@ the deepest level, where most search nodes would lie, is never entered.
 Every prefix, down to a whole graph, goes through the same search.
 
 The last DEPTH = 5 edges are memoised.  The bottom of the search tree
-repeats: on the labeled sweep ranges a search without a memo visits 72,360,
-35,312, 14,393 and 5,314 nodes with 2, 3, 4 and 5 edges left, and they reach
-only 1,088, 1,351, 1,649 and 1,252 distinct states.  So the completions of a
-node with at most DEPTH edges left are computed once per state and replayed
-after the chosen prefix, from one table keyed by the first candidate the
-next edge may take, start, and the residual degrees.  The search carries the
-residuals as one integer as well, code = sum of residual[u] << w*u with w =
-d.bit_length(), and a chosen candidate lowers it by its own sum of 1 << w*u,
-computed once per run.  The key is the integer code << shift | start, with
+repeats: the nodes a few edges above the leaves reach far fewer distinct
+states than there are nodes.  So the completions of a node with at most
+DEPTH edges left are computed once per state and replayed after the chosen
+prefix, from one table keyed by the first candidate the next edge may take,
+start, and the residual degrees.  The search carries the residuals as one
+integer as well, code = sum of residual[u] << w*u with w = d.bit_length(),
+and a chosen candidate lowers it by its own sum of 1 << w*u, computed once
+per run.  The key is the integer code << shift | start, with
 shift = len(candidates).bit_length().  The key is exact.  Each w-bit field
 holds a residual of at most d < 2^w, and start <= len(candidates) < 2^shift,
 so the key gives back start and every residual.  The residuals fix the full
@@ -50,16 +49,7 @@ the emission order is unchanged.  The table lives for one call.
 The depth is a constant, not the whole tree.  Above DEPTH the search stays
 a depth-first walk, so graphs stream out as they are found and the table
 holds only the states within DEPTH edges of a leaf.  A table over every
-level would emit nothing until the whole tree was built: on r=4 d=2 n=12
-it emits its first graph after 23 s at 577 MB, against 0.3 s at 25 MB with
-depth 5, and on r=2 d=3 n=12 after 4 s at 184 MB.  Depth 6 already holds
-too much: r=4 d=2 n=12 emits its first graph after 18.7 s at 527 MB,
-against 0.33 s at 28 MB at depth 5.  A deeper table does pay on whole runs
-of small n: r=2 d=4 n=9 with ``check_conjecture`` took 4.5 s at depth 5,
-4.3 s at depth 6 and 3.4 s at depth 7 (one round, 2-core Xeon, figures in
-``BENCH_25.json``).  On the perfbench `sweep` workload depth 5 ran 15%
-faster than a memo of the last three edges, and depth 4 was 1-5% slower
-than 5.
+level would emit nothing until the whole tree was built.
 
 Every labeled graph is emitted with its (r, d) recorded as
 ``Hypergraph._from_normalized`` records it, so ``check_conjecture`` reads
@@ -74,41 +64,39 @@ each chosen edge ORs its pattern into the one passed to the next level,
 each replayed level ORs its one edge, and a two-edge tail carries the OR of
 its own two patterns, so a graph costs one OR and one popcount.  A tail's
 OR is one integer per distinct pair of candidates, shared by every entry
-that holds the pair: r=4 d=2 n=10 has 65,385 two-edge entries over 5,465
-pairs.  Among the sweep specs only r=3 d=1 n=12 has as many pairs as
-entries, 2,100 of 512 bytes each, about 1.3 MB while it runs.  With three
-edges left the replay walks each edge's two-edge tails in one loop and
-writes each graph's instance dict there, the same four keys
-``_from_normalized`` would write; whether the pair may be recorded is
-decided once per run, and a run that records none (r = 1) replays level by
-level through ``_from_normalized`` instead.  Where nothing is counted (up to
-isomorphism, or above 12 vertices) the pattern table holds zeros, so one
+that holds the pair.  With three edges left the replay walks each edge's
+two-edge tails in one loop and writes each graph's instance dict there, the
+same four keys ``_from_normalized`` would write; whether the pair may be
+recorded is decided once per run, and a run that records none (r = 1)
+replays level by level through ``_from_normalized`` instead.  Above 12
+vertices nothing is counted and the pattern table holds zeros, so one
 replay and one memo serve every run, and those graphs are emitted one at a
-time.  A labeled run with no visit only tallies the tails and builds no
-graph at all.  Up to isomorphism the emitted graph is the canonical form,
-which records nothing.
+time.  A run with no visit only tallies the tails and builds no graph at
+all.
 
-Up to isomorphism only the labeled graphs whose first two edges are
-E0 = (0, 1, ..., r-1) and some S_t = (0, ..., t-1, r, ..., 2r-t-1) are
-searched, and each is canonicalised; a class is emitted at its first labeled
-member G, the lex-least one.  G starts with E0: relabel any member so that
-one of its edges lands on {0, ..., r-1}, and E0, the lex-least r-set, is
-then its first edge.  Say G's second edge e2 meets E0 in t vertices.
-Relabel G so that E0 maps onto itself, the vertices of e2 in E0 onto
-0..t-1 and its other vertices onto r..2r-t-1.  The result has edges E0 and
-S_t, so its second edge is at most S_t, and it is no smaller than G, so
-e2 <= S_t.  Sorted tuples of one length compare elementwise, and e2 >= S_t
-elementwise, so e2 = S_t.  The S_t are tried in increasing lex order,
-t = r-1 down to 0, each as the prefix (E0, S_t) of the one search; an S_t
-that leaves 0..n-1 or overfills a vertex is skipped, and one that misses
-the lowest open vertex ends at the block prune.  So the searched graphs
-hold every class's first member in labeled order, and the classes and their
-order are those of the full labeled search, which canonicalises fifteen
-times as many graphs (465 against 31 on r=2 d=2 n=7; 155 under E0 alone).  An empty prefix searches
-every (E0, S_t), a prefix whose first edge is not E0 or whose second edge is
-no S_t emits nothing, and specs without edges are searched as in the
-labeled case.  This is the second-edge case of orderly generation (McKay,
-"Isomorph-free exhaustive generation", 1998).
+Up to isomorphism ``enumerate_regular`` runs the labeled search once on each
+prefix (E0, S_t), with E0 = (0, 1, ..., r-1) and
+S_t = (0, ..., t-1, r, ..., 2r-t-1).  It canonicalises every graph that
+search emits and keeps a class the first time its canonical form appears,
+emitting the form, which records nothing.  Every class's first labeled
+member G, the lex-least one, is searched.  G starts with E0: relabel any
+member so that one of its edges lands on {0, ..., r-1}, and E0, the
+lex-least r-set, is then its first edge.  Say G's second edge e2 meets E0
+in t vertices.  Relabel G so that E0 maps onto itself, the vertices of e2 in
+E0 onto 0..t-1 and its other vertices onto r..2r-t-1.  The result has edges
+E0 and S_t, so its second edge is at most S_t, and it is no smaller than G,
+so e2 <= S_t.  Sorted tuples of one length compare elementwise, and
+e2 >= S_t elementwise, so e2 = S_t.  The S_t are tried in increasing lex
+order, t = r-1 down to 0; an S_t that leaves 0..n-1 or overfills a vertex
+is skipped, and one that misses the lowest open vertex ends at the block
+prune.  So the searched graphs hold every class's first member in labeled
+order, and the classes and their order are those of the full labeled
+search, which canonicalises many times as many graphs.  An empty prefix
+searches every (E0, S_t).  A given prefix is checked first; then one whose
+first edge is not E0 or whose second edge is no S_t emits nothing, and specs
+without edges are searched as in the labeled case.  This is the second-edge
+case of orderly generation (McKay, "Isomorph-free exhaustive generation",
+1998).
 """
 
 from __future__ import annotations
@@ -163,12 +151,66 @@ def enumerate_regular(spec: EnumSpec,
     exactly once (one representative per isomorphism class when up_to_iso),
     calling `visit` on each.  Returns the number emitted.
 
-    Up to isomorphism the search starts from the first edges E0 = (0, ..., r-1)
-    and S_t = (0, ..., t-1, r, ..., 2r-t-1), which begin the first labeled
-    member of every class (see the module docstring); a prefix that does not
-    start with E0, or whose second edge is no S_t, emits nothing."""
+    Up to isomorphism the labeled search runs on each prefix of the first
+    edges E0 = (0, ..., r-1) and S_t = (0, ..., t-1, r, ..., 2r-t-1), which
+    begin the first labeled member of every class, and each class is emitted
+    as its canonical form where that form first appears (see the module
+    docstring); a prefix that does not start with E0, or whose second edge
+    is no S_t, emits nothing."""
     if not spec.feasible:
         return 0
+    if not spec.up_to_iso:
+        return _labeled(spec, spec.prefix, visit)
+    m, r, e0 = spec.num_edges, spec.r, tuple(range(spec.r))
+    prefix = spec.prefix or ((e0,) if m else ())
+    chosen, residual = _place(spec, prefix)
+    prefixes = [prefix]
+    if m:
+        if chosen[0] != e0:
+            return 0
+        # S_t = (0..t-1, r..2r-t-1) in increasing lex order, t = r-1 down to 0
+        seconds = [tuple(range(t)) + tuple(range(r, 2 * r - t))
+                   for t in range(r - 1, -1, -1) if 2 * r - t <= spec.n]
+        if len(chosen) > 1 and chosen[1] not in seconds:
+            return 0
+        if len(chosen) == 1 and m > 1:
+            prefixes = [(e0, s) for s in seconds if all(residual[v] for v in s)]
+    seen: set[Hypergraph] = set()
+
+    def keep(g: Hypergraph) -> None:
+        canon = canonical_form(g, spec.caps)
+        if canon not in seen:
+            seen.add(canon)
+            if visit is not None:
+                visit(canon)
+
+    for prefix in prefixes:
+        _labeled(spec, prefix, keep)
+    return len(seen)
+
+
+def _place(spec: EnumSpec, prefix: tuple) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Check prefix's edges and return them as tuples, with the residual
+    degrees they leave."""
+    residual = [spec.d] * spec.n
+    chosen: list[tuple[int, ...]] = []
+    for e in prefix:
+        if tuple(e) not in itertools.combinations(range(spec.n), spec.r):
+            raise InvalidArgumentError(f"prefix edge {e} is not a valid candidate")
+        if chosen and tuple(e) <= chosen[-1]:
+            raise InvalidArgumentError("prefix edges must be lexicographically increasing")
+        if any(residual[v] == 0 for v in e):
+            raise InvalidArgumentError(f"prefix edge {e} overfills a vertex degree")
+        for v in e:
+            residual[v] -= 1
+        chosen.append(tuple(e))
+    return chosen, residual
+
+
+def _labeled(spec: EnumSpec, prefix: tuple,
+             visit: Callable[[Hypergraph], None] | None) -> int:
+    """The labeled search of a feasible spec below prefix: emit every graph
+    that extends it, calling `visit` on each, and return how many."""
     candidates = list(itertools.combinations(range(spec.n), spec.r))
     masks = [core.mask_of(e) for e in candidates]
     index = {mask: j for j, mask in enumerate(masks)}
@@ -182,61 +224,17 @@ def enumerate_regular(spec: EnumSpec,
     for v in range(spec.n):
         block[v + 1] += block[v]
 
-    residual = [spec.d] * spec.n
-    chosen: list[tuple[int, ...]] = []
-
-    def place(prefix: tuple) -> int:
-        """Reset the search state to prefix, checking its edges, and return
-        the first candidate index the next edge may take."""
-        residual[:] = [spec.d] * spec.n
-        chosen.clear()
-        start = 0
-        for e in prefix:
-            try:
-                idx = candidates.index(tuple(e))
-            except ValueError:
-                raise InvalidArgumentError(f"prefix edge {e} is not a valid candidate")
-            if idx < start:
-                raise InvalidArgumentError("prefix edges must be lexicographically increasing")
-            if any(residual[v] == 0 for v in e):
-                raise InvalidArgumentError(f"prefix edge {e} overfills a vertex degree")
-            for v in e:
-                residual[v] -= 1
-            chosen.append(tuple(e))
-            start = idx + 1
-        return start
-
-    prefix = spec.prefix
-    # up to isomorphism only the graphs whose first two edges are E0 and some
-    # S_t are searched; they hold the first labeled member of every class
-    r, e0 = spec.r, tuple(range(spec.r))
-    if spec.up_to_iso and m and not prefix:
-        prefix = (e0,)
-    place(prefix)
-    prefixes = [prefix]
-    if spec.up_to_iso and m:
-        if chosen[0] != e0:
-            return 0
-        # S_t = (0..t-1, r..2r-t-1) in increasing lex order, t = r-1 down to 0
-        seconds = [tuple(range(t)) + tuple(range(r, 2 * r - t))
-                   for t in range(r - 1, -1, -1) if 2 * r - t <= spec.n]
-        if len(chosen) > 1 and chosen[1] not in seconds:
-            return 0
-        if len(chosen) == 1 and m > 1:
-            prefixes = [(e0, s) for s in seconds if all(residual[v] for v in s)]
-
-    seen_canon: set[Hypergraph] = set()
+    chosen, residual = _place(spec, prefix)
     emitted = 0
     # the pair is recorded only where infer_uniform_regular would accept it;
     # build checks that for each graph, the counted loop once here
     known = (spec.r, spec.d)
     recordable = spec.r >= 2 and spec.d >= 1 and m >= 1
-    n, up_to_iso = spec.n, spec.up_to_iso
-    # a labeled run with no visit builds no graph; one with a visit counts
-    # each graph along the search from count_brute's edge patterns where
-    # they are cached, and elsewhere the ORs run on zeros
-    tally_only = visit is None and not up_to_iso
-    counted = visit is not None and not up_to_iso and n <= counting._CACHED_N
+    n = spec.n
+    # a run with no visit builds no graph; one with a visit counts each
+    # graph along the search from count_brute's edge patterns where they
+    # are cached, and elsewhere the ORs run on zeros
+    counted = visit is not None and n <= counting._CACHED_N
     # a counted graph with a recordable pair is built inline, two levels deep
     two_level = counted and recordable
     pat = counting._edge_patterns(n) if counted else dict.fromkeys(candidates, 0)
@@ -247,22 +245,6 @@ def enumerate_regular(spec: EnumSpec,
     w = spec.d.bit_length()
     dec = [sum(1 << w * u for u in e) for e in candidates]
     shift = len(candidates).bit_length()
-
-    def emit(edges: tuple) -> None:
-        """Emit a graph that carries no count."""
-        nonlocal emitted
-        # m edges carry all n*d incidences, so every degree is d
-        # the edges are distinct candidates in increasing lex order
-        g = build(n, edges, known)
-        if up_to_iso:
-            canon = canonical_form(g, spec.caps)
-            if canon in seen_canon:
-                return
-            seen_canon.add(canon)
-            g = canon
-        emitted += 1
-        if visit is not None:
-            visit(g)
 
     # the completions of a node with 1..DEPTH edges left, keyed by its
     # residuals' code and the first candidate its next edge may take; the
@@ -347,12 +329,15 @@ def enumerate_regular(spec: EnumSpec,
                     gd["_ind"] = top - (p | th).bit_count()
                     visit(g)
                 emitted += len(child)
-        elif tally_only:
+        elif visit is None:
             emitted += len(entries)
         elif not counted:
-            # a two-edge tail ends in its (zero) pattern
+            # m edges carry all n*d incidences, so every degree is d, and
+            # they are distinct candidates in increasing lex order; a
+            # two-edge tail ends in its (zero) pattern
             for tail in entries:
-                emit(head + tail[:2])
+                visit(build(n, head + tail[:2], known))
+            emitted += len(entries)
         elif left == 2:
             for a, b, th in entries:
                 visit(build(n, head + (a, b), known,
@@ -393,14 +378,13 @@ def enumerate_regular(spec: EnumSpec,
             for u in e:
                 residual[u] += 1
 
+    hit = 0
+    for e in chosen:
+        hit |= pat[e]
     try:
-        for prefix in prefixes:
-            start = place(prefix)
-            hit = 0
-            for e in chosen:
-                hit |= pat[e]
-            rec(start, core.mask_of(v for v in range(n) if residual[v] == 0),
-                sum(residual[u] << w * u for u in range(n)), hit)
+        rec(candidates.index(chosen[-1]) + 1 if chosen else 0,
+            core.mask_of(v for v in range(n) if residual[v] == 0),
+            sum(residual[u] << w * u for u in range(n)), hit)
     finally:
         # these refer to themselves through their closures; without this the
         # memo would wait for a cyclic collection to be freed
