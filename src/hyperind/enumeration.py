@@ -74,29 +74,43 @@ replay and one memo serve every run, and those graphs are emitted one at a
 time.  A run with no visit only tallies the tails and builds no graph at
 all.
 
-Up to isomorphism ``enumerate_regular`` runs the labeled search once on each
-prefix (E0, S_t), with E0 = (0, 1, ..., r-1) and
-S_t = (0, ..., t-1, r, ..., 2r-t-1).  It canonicalises every graph that
-search emits and keeps a class the first time its canonical form appears,
-emitting the form, which records nothing.  Every class's first labeled
-member G, the lex-least one, is searched.  G starts with E0: relabel any
-member so that one of its edges lands on {0, ..., r-1}, and E0, the
-lex-least r-set, is then its first edge.  Say G's second edge e2 meets E0
-in t vertices.  Relabel G so that E0 maps onto itself, the vertices of e2 in
-E0 onto 0..t-1 and its other vertices onto r..2r-t-1.  The result has edges
-E0 and S_t, so its second edge is at most S_t, and it is no smaller than G,
-so e2 <= S_t.  Sorted tuples of one length compare elementwise, and
-e2 >= S_t elementwise, so e2 = S_t.  The S_t are tried in increasing lex
-order, t = r-1 down to 0; an S_t that leaves 0..n-1 or overfills a vertex
-is skipped, and one that misses the lowest open vertex ends at the block
-prune.  So the searched graphs hold every class's first member in labeled
-order, and the classes and their order are those of the full labeled
-search, which canonicalises many times as many graphs.  An empty prefix
-searches every (E0, S_t).  A given prefix is checked first; then one whose
-first edge is not E0 or whose second edge is no S_t emits nothing, and specs
-without edges are searched as in the labeled case.  This is the second-edge
-case of orderly generation (McKay, "Isomorph-free exhaustive generation",
-1998).
+Up to isomorphism ``enumerate_regular`` searches only below minimal
+prefixes: edge lists that no relabeling of the vertices sorts below
+themselves.  Let G be the lex-least labeled member of its class and P a
+prefix of G's edge list.  Suppose a relabeling p made P smaller.  The
+sorted p(G) holds p(P), so position by position its first |P| edges are at
+most those of the sorted p(P), and p(G) < G, a contradiction.  So every
+prefix of G is minimal.  The only minimal first edge is E0 = (0, ..., r-1),
+and the minimal second edges are S_t = (0, ..., t-1, r, ..., 2r-t-1).  This
+is orderly generation (Read, "Every one a winner", 1978; McKay,
+"Isomorph-free exhaustive generation", 1998).
+
+The test builds the sorted image of P one label at a time, labels 0..L-1
+in use.  An unplaced edge's least image is its labels and the least free
+ones; one that sorts below the next edge of P proves P is not minimal, and
+when an edge's least image ties with it the search branches over which of
+its unlabeled vertices takes label L.  A map that places every edge is an
+automorphism of P.  As in ``canonical_form`` it is recorded, a node skips
+a candidate in the orbit of one already tried under the recorded
+automorphisms that fix its labeled vertices, and the search returns to the
+last node it shares with the identity, the first leaf.
+
+A given prefix is checked first, and one that is not minimal emits
+nothing.  The dispatcher extends it in lex order, from the lowest open
+vertex and with the block prune of the labeled search, to every minimal
+prefix of K = max(min(2, m), min(ceil(2m/3), ceil(3n/2))) edges, where
+m = n*d/r, and runs the labeled search on each.  It canonicalises every
+graph emitted and keeps a class the first time its canonical form
+appears, emitting the form, which records nothing.  Below K the memoised
+labeled search and the set of seen forms finish the job.  In measurement,
+testing m-2 or m-3 edges, or m/2, took longer over the larger specs than
+2m/3; the cap of 3n/2 edges binds only on dense specs (d/r > 9/4), whose
+long prefixes have so many automorphisms that testing them costs more
+than the few labeled graphs below them.  A class's lex-least member
+extends exactly one minimal K-prefix and the walks run in lex order, so
+each class is first seen at its lex-least member, and the classes and
+their order are those of the full labeled search.  Specs without edges are
+searched as in the labeled case.
 """
 
 from __future__ import annotations
@@ -151,30 +165,21 @@ def enumerate_regular(spec: EnumSpec,
     exactly once (one representative per isomorphism class when up_to_iso),
     calling `visit` on each.  Returns the number emitted.
 
-    Up to isomorphism the labeled search runs on each prefix of the first
-    edges E0 = (0, ..., r-1) and S_t = (0, ..., t-1, r, ..., 2r-t-1), which
-    begin the first labeled member of every class, and each class is emitted
+    Up to isomorphism the labeled search runs below every minimal prefix
+    of K edges that extends the given one, among which are the first
+    edges of every class's first labeled member, and each class is emitted
     as its canonical form where that form first appears (see the module
-    docstring); a prefix that does not start with E0, or whose second edge
-    is no S_t, emits nothing."""
+    docstring); a prefix that some relabeling sorts lower emits nothing."""
     if not spec.feasible:
         return 0
     if not spec.up_to_iso:
         return _labeled(spec, spec.prefix, visit)
-    m, r, e0 = spec.num_edges, spec.r, tuple(range(spec.r))
-    prefix = spec.prefix or ((e0,) if m else ())
-    chosen, residual = _place(spec, prefix)
-    prefixes = [prefix]
-    if m:
-        if chosen[0] != e0:
-            return 0
-        # S_t = (0..t-1, r..2r-t-1) in increasing lex order, t = r-1 down to 0
-        seconds = [tuple(range(t)) + tuple(range(r, 2 * r - t))
-                   for t in range(r - 1, -1, -1) if 2 * r - t <= spec.n]
-        if len(chosen) > 1 and chosen[1] not in seconds:
-            return 0
-        if len(chosen) == 1 and m > 1:
-            prefixes = [(e0, s) for s in seconds if all(residual[v] for v in s)]
+    chosen, residual = _place(spec, spec.prefix)
+    if not _minimal(chosen, spec.n):
+        return 0
+    m = spec.num_edges
+    # minimal prefixes are searched to depth K (module docstring)
+    depth = max(min(2, m), min(-(-2 * m // 3), -(-3 * spec.n // 2)))
     seen: set[Hypergraph] = set()
 
     def keep(g: Hypergraph) -> None:
@@ -184,9 +189,113 @@ def enumerate_regular(spec: EnumSpec,
             if visit is not None:
                 visit(canon)
 
-    for prefix in prefixes:
+    for prefix in _minimal_prefixes(spec, chosen, residual, depth):
         _labeled(spec, prefix, keep)
     return len(seen)
+
+
+def _minimal_prefixes(spec: EnumSpec, chosen: list[tuple[int, ...]],
+                      residual: list[int], depth: int):
+    """Yield, in lex order, every minimal prefix of `depth` edges that
+    extends the minimal prefix chosen, or chosen itself if it is as long.
+    chosen and residual are restored once the walk is exhausted."""
+    if len(chosen) >= depth:
+        yield tuple(chosen)
+        return
+    # as in the labeled search, the next edge starts at the lowest open
+    # vertex, and every later edge through it is one of these
+    v = next(u for u in range(spec.n) if residual[u])
+    above = [u for u in range(v + 1, spec.n) if residual[u]]
+    block = [(v,) + rest for rest in itertools.combinations(above, spec.r - 1)
+             if not chosen or (v,) + rest > chosen[-1]]
+    if len(block) < residual[v]:
+        return
+    for e in block:
+        chosen.append(e)
+        for u in e:
+            residual[u] -= 1
+        if _minimal(chosen, spec.n):
+            yield from _minimal_prefixes(spec, chosen, residual, depth)
+        for u in e:
+            residual[u] += 1
+        chosen.pop()
+
+
+def _minimal(prefix: list[tuple[int, ...]], n: int) -> bool:
+    """Whether no relabeling of 0..n-1 sorts prefix, distinct sorted r-sets
+    in increasing lex order, below itself (the module docstring's test)."""
+    k = len(prefix)
+    r = len(prefix[0]) if prefix else 0
+    # edges and images as masks: of two r-sets the one holding the least
+    # element of their symmetric difference sorts first
+    masks = [core.mask_of(e) for e in prefix]
+    incident = [[j for j, e in enumerate(prefix) if v in e] for v in range(n)]
+    label = [-1] * n  # label[v] once vertex v is mapped
+    image = [0] * k  # the labels of each edge's mapped vertices
+    placed = [False] * k  # the edges mapped onto prefix[:i]
+    autos: list[tuple[list[int], int]] = []  # (permutation, mask of its fixed points)
+
+    def search(L: int, i: int, mapped: int) -> int | None:
+        """Give label L to a vertex, the map's edges sorting as prefix[:i]
+        so far.  A return value below L means: unwind to the node of that
+        label, or to the top from -1 once a smaller image is found."""
+        done = []  # edges this node places
+        try:
+            while i < k:
+                t, tied, whole = masks[i], 0, -1
+                for j in range(k):
+                    if placed[j]:
+                        continue
+                    # j's least image: its labels and the least free ones
+                    have = image[j]
+                    least = have | ((1 << r - have.bit_count()) - 1) << L
+                    diff = least ^ t
+                    if least & diff & -diff:
+                        return -1
+                    if not diff:
+                        if least == have:
+                            whole = j
+                        else:
+                            tied |= masks[j] & ~mapped
+                if whole < 0:
+                    break
+                placed[whole] = True
+                done.append(whole)
+                i += 1
+            if i == k:
+                # every edge is placed, so the map is an automorphism of
+                # prefix; it agrees with the identity leaf below label moved
+                perm = [v if label[v] < 0 else label[v] for v in range(n)]
+                moved = next((v for v in range(n) if perm[v] != v), None)
+                if moved is not None:
+                    autos.append((perm, core.mask_of(
+                        v for v in range(n) if perm[v] == v)))
+                return moved
+            tried = 0  # candidates searched here, closed under the orbits
+            for x in core.vertices_of(tied):
+                if tried >> x & 1:
+                    continue
+                label[x] = L
+                for j in incident[x]:
+                    image[j] |= 1 << L
+                back = search(L + 1, i, mapped | 1 << x)
+                label[x] = -1
+                for j in incident[x]:
+                    image[j] ^= 1 << L
+                if back is not None and back < L:
+                    return back
+                tried = core._orbit_closure(
+                    tried | 1 << x, [p for p, fixed in autos if not mapped & ~fixed])
+            return None
+        finally:
+            for j in done:
+                placed[j] = False
+
+    try:
+        return search(0, 0, 0) != -1
+    finally:
+        # search refers to itself through its closure
+        search = None
 
 
 def _place(spec: EnumSpec, prefix: tuple) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -399,8 +508,8 @@ def first_edge_choices(spec: EnumSpec) -> list[tuple[int, ...]]:
     enumerating each prefix separately and concatenating reproduces the
     unsplit run.  With d >= 1 vertex 0 lies in some edge, so the smallest
     edge contains it; first edges without vertex 0 would emit nothing and
-    are left out.  Up to isomorphism only E0 = (0, 1, ..., r-1) is searched
-    (see ``enumerate_regular``), so it is the one chunk.
+    are left out.  Up to isomorphism E0 = (0, 1, ..., r-1) is the only
+    minimal first edge (see the module docstring), so it is the one chunk.
     """
     if not spec.feasible or spec.num_edges == 0:
         return []

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -167,6 +168,27 @@ def second_edges(r, n):
            for t in range(r - 1, -1, -1) if 2 * r - t <= n]
     assert out == sorted(out)
     return out
+
+
+def brute_minimal(prefix, n):
+    """Whether no relabeling among all n! sorts prefix's edges below it."""
+    prefix = [tuple(e) for e in prefix]
+    for perm in itertools.permutations(range(n)):
+        image = sorted(tuple(sorted(map(perm.__getitem__, e))) for e in prefix)
+        if image < prefix:
+            return False
+    return True
+
+
+def lex_least(prefix, n):
+    """The lex-least relabeling of prefix, over all n! permutations."""
+    return min(sorted(tuple(sorted(map(perm.__getitem__, e))) for e in prefix)
+               for perm in itertools.permutations(range(n)))
+
+
+def minimal_depth(m, n):
+    """K, the number of first edges the minimality test is run on."""
+    return max(min(2, m), min(-(-2 * m // 3), -(-3 * n // 2)))
 
 
 def _fits(prefix, n, d):
@@ -457,18 +479,34 @@ class TestUpToIso:
         calls = []
 
         def counted(g, caps):
-            calls.append(g.edges[:2])
+            calls.append(g.edges)
             return canonical_form(g, caps)
 
         monkeypatch.setattr(enumeration, "canonical_form", counted)
-        # 465 and 330 labeled graphs; 155 and 99 of them start with E0, and
-        # 31 and 29 of those continue with some S_t
-        for r, d, n, want in [(2, 2, 7, 31), (3, 3, 6, 29)]:
+        # 465 and 330 labeled graphs; 155 and 99 of them start with E0, 31
+        # and 29 of those continue with some S_t, and 3 and 5 of those
+        # start with a minimal prefix of K = 5 and 4 edges
+        for r, d, n, want in [(2, 2, 7, 3), (3, 3, 6, 5)]:
             calls.clear()
-            enumerate_regular(EnumSpec(r=r, d=d, n=n, up_to_iso=True))
+            spec = EnumSpec(r=r, d=d, n=n, up_to_iso=True)
+            enumerate_regular(spec)
             assert len(calls) == want, (r, d, n)
-            assert {first for first, _ in calls} == {tuple(range(r))}
-            assert {second for _, second in calls} <= set(second_edges(r, n))
+            assert {edges[0] for edges in calls} == {tuple(range(r))}
+            assert {edges[1] for edges in calls} <= set(second_edges(r, n))
+            depth = minimal_depth(spec.num_edges, n)
+            for edges in calls:
+                assert brute_minimal(edges[:depth], n), edges
+
+    def test_class_counts_match_oeis(self):
+        # A008483 (partitions into parts >= 3), A005638 (cubic graphs) and
+        # A033483 (4-regular graphs); no class is emitted twice
+        rows = [(2, 2, range(3, 13), [1, 1, 1, 2, 2, 3, 4, 5, 6, 9]),
+                (2, 3, range(4, 13, 2), [1, 2, 6, 21, 94]),
+                (2, 4, range(5, 11), [1, 1, 2, 6, 16, 60])]
+        for r, d, ns, counts in rows:
+            for n, want in zip(ns, counts):
+                got = collect(EnumSpec(r=r, d=d, n=n, up_to_iso=True))
+                assert len(got) == len(set(got)) == want, (r, d, n)
 
     def test_complete_hypergraph_far_above_the_memo(self):
         # every vertex misses exactly one edge, so only one branch completes;
@@ -476,6 +514,50 @@ class TestUpToIso:
         n = 65
         edges = list(itertools.combinations(range(n), n - 1))
         assert collect(EnumSpec(r=n - 1, d=n - 1, n=n)) == [Hypergraph(n, edges)]
+
+
+class TestMinimal:
+    """enumeration._minimal against a brute-force test over all n!
+    relabelings."""
+
+    def test_every_prefix_the_dispatcher_tests(self, monkeypatch):
+        tested = set()
+
+        def spy(prefix, n):
+            tested.add((tuple(prefix), n))
+            return minimal(prefix, n)
+
+        minimal = enumeration._minimal
+        monkeypatch.setattr(enumeration, "_minimal", spy)
+        for r, d, n in itertools.product((2, 3, 4), (1, 2, 3), range(8)):
+            if (n * d) % r == 0 and not 0 < n < r:
+                enumerate_regular(EnumSpec(r=r, d=d, n=n, up_to_iso=True))
+        assert len(tested) == 367
+        for prefix, n in tested:
+            assert minimal(list(prefix), n) == brute_minimal(prefix, n), prefix
+
+    def test_random_prefixes(self):
+        rng = random.Random(27)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            r = rng.randint(1, min(4, n))
+            candidates = list(itertools.combinations(range(n), r))
+            prefix = sorted(rng.sample(candidates, rng.randint(0, min(6, len(candidates)))))
+            assert enumeration._minimal(prefix, n) == brute_minimal(prefix, n), prefix
+            least = lex_least(prefix, n)
+            assert enumeration._minimal(least, n), least
+
+    def test_first_and_second_edges(self):
+        # the depth-1 and depth-2 cases are the E0 and (E0, S_t) rules
+        for r in (1, 2, 3, 4):
+            for n in range(r, 9):
+                e0 = tuple(range(r))
+                candidates = list(itertools.combinations(range(n), r))
+                assert [e for e in candidates
+                        if enumeration._minimal([e], n)] == [e0], (r, n)
+                pairs = [[a, b] for a, b in itertools.combinations(candidates, 2)
+                         if enumeration._minimal([a, b], n)]
+                assert pairs == [[e0, s] for s in second_edges(r, n)], (r, n)
 
 
 class TestAutomorphismPartition:
