@@ -152,10 +152,11 @@ class TestEmissionOrder:
         assert got == reference_emissions(spec)
 
     def test_up_to_iso_specs(self):
-        # the reference canonicalises every labeled graph, first edge or not
+        # the reference canonicalises every labeled graph, first edge or not;
+        # on r=2 d=5 n=6 and r=2 d=6 n=8 the depth is capped at 3n/2 edges
         specs = [(r, d, n) for r in (2, 3, 4) for d in (1, 2, 3)
                  for n in range(8) if (n * d) % r == 0 and not 0 < n < r] \
-            + [(2, 2, 8)]
+            + [(2, 2, 8), (2, 5, 6), (2, 6, 8)]
         for r, d, n in specs:
             spec = EnumSpec(r=r, d=d, n=n, up_to_iso=True)
             assert collect(spec) == reference_emissions(spec), (r, d, n)
