@@ -36,7 +36,12 @@ def _fmt_float(x: float) -> float:
 
 
 def _read_input(path: str) -> Hypergraph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first byte that does not decode
+        raise ParseError(f"byte {exc.object[exc.start]:#04x} is not UTF-8",
+                         exc.object.count(b"\n", 0, exc.start) + 1) from None
     return read_hypergraph(text)
 
 

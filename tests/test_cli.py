@@ -71,6 +71,16 @@ class TestCount:
         code, _, err = run(capsys, ["count", "/nonexistent/x.hg"])
         assert code == 2
 
+    def test_file_not_utf8_exit_2(self, capsys, tmp_path):
+        # exit 1 would claim a conjecture violation
+        p = tmp_path / "bad.hg"
+        p.write_bytes(b"2\n0 1\n\xff\xfe\n")
+        for argv in (["count", str(p)], ["check-conjecture", str(p)],
+                     ["verify-proof", str(p)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err == "error: line 3: byte 0xff is not UTF-8\n", argv
+
 
 class TestCheckConjecture:
     def test_extremal_json(self, capsys, monkeypatch):
