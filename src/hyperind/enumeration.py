@@ -95,22 +95,25 @@ a candidate in the orbit of one already tried under the recorded
 automorphisms that fix its labeled vertices, and the search returns to the
 last node it shares with the identity, the first leaf.
 
-A given prefix is checked first, and one that is not minimal emits
-nothing.  The dispatcher extends it in lex order, from the lowest open
-vertex and with the block prune of the labeled search, to every minimal
-prefix of K = max(min(2, m), min(ceil(2m/3), ceil(3n/2))) edges, where
-m = n*d/r, and runs the labeled search on each.  It canonicalises every
-graph emitted and keeps a class the first time its canonical form
-appears, emitting the form, which records nothing.  Below K the memoised
-labeled search and the set of seen forms finish the job.  In measurement,
+So up to isomorphism the labeled search is one walk that tests its first
+K = max(min(2, m), min(ceil(2m/3), ceil(3n/2))) edges, where m = n*d/r.
+The given prefix is tested once, and one that is not minimal emits
+nothing; after that each edge that ends a prefix of at most K edges is
+kept only if the prefix is minimal, and the memo levels are entered only
+past the K-th edge.  So one memo serves every minimal K-prefix, which is
+exact because an entry depends only on the residuals and the start index,
+never on the prefix above it.  The dispatcher canonicalises every graph
+emitted and keeps a class the first time its canonical form appears,
+emitting the form, which records nothing.  Below K the memoised labeled
+search and the set of seen forms finish the job.  In measurement,
 testing m-2 or m-3 edges, or m/2, took longer over the larger specs than
 2m/3; the cap of 3n/2 edges binds only on dense specs (d/r > 9/4), whose
 long prefixes have so many automorphisms that testing them costs more
 than the few labeled graphs below them.  A class's lex-least member
-extends exactly one minimal K-prefix and the walks run in lex order, so
-each class is first seen at its lex-least member, and the classes and
-their order are those of the full labeled search.  Specs without edges are
-searched as in the labeled case.
+extends a minimal K-prefix and the walk runs in lex order, so each class
+is first seen at its lex-least member, and the classes and their order are
+those of the full labeled search.  Specs without edges are searched as in
+the labeled case.
 """
 
 from __future__ import annotations
@@ -165,20 +168,17 @@ def enumerate_regular(spec: EnumSpec,
     exactly once (one representative per isomorphism class when up_to_iso),
     calling `visit` on each.  Returns the number emitted.
 
-    Up to isomorphism the labeled search runs below every minimal prefix
-    of K edges that extends the given one, among which are the first
-    edges of every class's first labeled member, and each class is emitted
-    as its canonical form where that form first appears (see the module
-    docstring); a prefix that some relabeling sorts lower emits nothing."""
+    Up to isomorphism the one labeled walk keeps only minimal prefixes up
+    to K edges, among which are the first edges of every class's first
+    labeled member, and each class is emitted as its canonical form where
+    that form first appears (see the module docstring); a prefix that some
+    relabeling sorts lower emits nothing."""
     if not spec.feasible:
         return 0
     if not spec.up_to_iso:
-        return _labeled(spec, spec.prefix, visit)
-    chosen, residual = _place(spec, spec.prefix)
-    if not _minimal(chosen, spec.n):
-        return 0
+        return _labeled(spec, visit, 0)
     m = spec.num_edges
-    # minimal prefixes are searched to depth K (module docstring)
+    # the first K edges are tested for minimality (module docstring)
     depth = max(min(2, m), min(-(-2 * m // 3), -(-3 * spec.n // 2)))
     seen: set[Hypergraph] = set()
 
@@ -189,36 +189,8 @@ def enumerate_regular(spec: EnumSpec,
             if visit is not None:
                 visit(canon)
 
-    for prefix in _minimal_prefixes(spec, chosen, residual, depth):
-        _labeled(spec, prefix, keep)
+    _labeled(spec, keep, depth)
     return len(seen)
-
-
-def _minimal_prefixes(spec: EnumSpec, chosen: list[tuple[int, ...]],
-                      residual: list[int], depth: int):
-    """Yield, in lex order, every minimal prefix of `depth` edges that
-    extends the minimal prefix chosen, or chosen itself if it is as long.
-    chosen and residual are restored once the walk is exhausted."""
-    if len(chosen) >= depth:
-        yield tuple(chosen)
-        return
-    # as in the labeled search, the next edge starts at the lowest open
-    # vertex, and every later edge through it is one of these
-    v = next(u for u in range(spec.n) if residual[u])
-    above = [u for u in range(v + 1, spec.n) if residual[u]]
-    block = [(v,) + rest for rest in itertools.combinations(above, spec.r - 1)
-             if not chosen or (v,) + rest > chosen[-1]]
-    if len(block) < residual[v]:
-        return
-    for e in block:
-        chosen.append(e)
-        for u in e:
-            residual[u] -= 1
-        if _minimal(chosen, spec.n):
-            yield from _minimal_prefixes(spec, chosen, residual, depth)
-        for u in e:
-            residual[u] += 1
-        chosen.pop()
 
 
 def _minimal(prefix: list[tuple[int, ...]], n: int) -> bool:
@@ -298,28 +270,12 @@ def _minimal(prefix: list[tuple[int, ...]], n: int) -> bool:
         search = None
 
 
-def _place(spec: EnumSpec, prefix: tuple) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Check prefix's edges and return them as tuples, with the residual
-    degrees they leave."""
-    residual = [spec.d] * spec.n
-    chosen: list[tuple[int, ...]] = []
-    for e in prefix:
-        if tuple(e) not in itertools.combinations(range(spec.n), spec.r):
-            raise InvalidArgumentError(f"prefix edge {e} is not a valid candidate")
-        if chosen and tuple(e) <= chosen[-1]:
-            raise InvalidArgumentError("prefix edges must be lexicographically increasing")
-        if any(residual[v] == 0 for v in e):
-            raise InvalidArgumentError(f"prefix edge {e} overfills a vertex degree")
-        for v in e:
-            residual[v] -= 1
-        chosen.append(tuple(e))
-    return chosen, residual
-
-
-def _labeled(spec: EnumSpec, prefix: tuple,
-             visit: Callable[[Hypergraph], None] | None) -> int:
-    """The labeled search of a feasible spec below prefix: emit every graph
-    that extends it, calling `visit` on each, and return how many."""
+def _labeled(spec: EnumSpec, visit: Callable[[Hypergraph], None] | None,
+             depth: int) -> int:
+    """The labeled search of a feasible spec below its prefix: emit every
+    graph that extends it, calling `visit` on each, and return how many.
+    Up to isomorphism the prefix and every extension of at most `depth`
+    edges must be minimal; one memo serves the whole walk."""
     candidates = list(itertools.combinations(range(spec.n), spec.r))
     masks = [core.mask_of(e) for e in candidates]
     index = {mask: j for j, mask in enumerate(masks)}
@@ -333,7 +289,21 @@ def _labeled(spec: EnumSpec, prefix: tuple,
     for v in range(spec.n):
         block[v + 1] += block[v]
 
-    chosen, residual = _place(spec, prefix)
+    # the prefix is checked, and up to isomorphism tested, once
+    residual = [spec.d] * spec.n
+    chosen: list[tuple[int, ...]] = []
+    for e in spec.prefix:
+        if tuple(e) not in candidates:
+            raise InvalidArgumentError(f"prefix edge {e} is not a valid candidate")
+        if chosen and tuple(e) <= chosen[-1]:
+            raise InvalidArgumentError("prefix edges must be lexicographically increasing")
+        if any(residual[v] == 0 for v in e):
+            raise InvalidArgumentError(f"prefix edge {e} overfills a vertex degree")
+        for v in e:
+            residual[v] -= 1
+        chosen.append(tuple(e))
+    if spec.up_to_iso and not _minimal(chosen, spec.n):
+        return 0
     emitted = 0
     # the pair is recorded only where infer_uniform_regular would accept it;
     # build checks that for each graph, the counted loop once here
@@ -461,10 +431,11 @@ def _labeled(spec: EnumSpec, prefix: tuple,
             emitted += len(entries)
 
     def rec(i: int, full: int, code: int, hit: int) -> None:
-        # every prefix, down to a whole graph, ends in the memo levels; hit
-        # is the OR of the chosen edges' patterns
+        # a prefix, down to a whole graph, ends in the memo levels once at
+        # most DEPTH edges are left and its first `depth` edges are tested;
+        # hit is the OR of the chosen edges' patterns
         left = m - len(chosen)
-        if left <= DEPTH:
+        if left <= DEPTH and len(chosen) >= depth:
             replay(tuple(chosen), hit, completions(i, full, code, left), left)
             return
         v = (~full & (full + 1)).bit_length() - 1
@@ -472,10 +443,13 @@ def _labeled(spec: EnumSpec, prefix: tuple,
         # every later edge through v lies in v's block
         if block[v + 1] - start < residual[v]:
             return
+        tested = len(chosen) < depth  # the next edge ends a tested prefix
         for j in range(start, block[v + 1]):
             if masks[j] & full:
                 continue
             e = candidates[j]
+            if tested and not _minimal(chosen + [e], n):
+                continue
             now_full = full
             for u in e:
                 residual[u] -= 1

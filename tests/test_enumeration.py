@@ -498,6 +498,22 @@ class TestUpToIso:
             for edges in calls:
                 assert brute_minimal(edges[:depth], n), edges
 
+    def test_one_labeled_walk_per_run(self, monkeypatch):
+        # every minimal prefix is tested inside one walk with one memo
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return labeled(*args)
+
+        labeled = enumeration._labeled
+        monkeypatch.setattr(enumeration, "_labeled", counted)
+        for r, d, n, classes in [(3, 3, 8, 33), (2, 2, 7, 2)]:
+            calls.clear()
+            assert enumerate_regular(EnumSpec(r=r, d=d, n=n, up_to_iso=True)) \
+                == classes, (r, d, n)
+            assert len(calls) == 1, (r, d, n)
+
     def test_class_counts_match_oeis(self):
         # A008483 (partitions into parts >= 3), A005638 (cubic graphs) and
         # A033483 (4-regular graphs); no class is emitted twice
@@ -638,6 +654,50 @@ class TestPrefixSplitting:
             # the labeled search finds graphs under some of them
             assert any(enumerate_regular(EnumSpec(r=r, d=d, n=n, prefix=(e0, e)))
                        for e in others)
+
+    def test_up_to_iso_prefixes_of_three_edges_and_more(self):
+        # every minimal prefix of 3..m edges, shorter and longer than K:
+        # the labeled graphs below it, in lex order, whose first
+        # max(K, |prefix|) edges are minimal at every length, keeping the
+        # first canonical form of each class
+        for r, d, n in [(2, 2, 7), (3, 3, 6)]:
+            m = n * d // r
+            depth = minimal_depth(m, n)
+            candidates = list(itertools.combinations(range(n), r))
+            minimal = {}
+
+            def is_minimal(prefix):
+                if prefix not in minimal:
+                    minimal[prefix] = brute_minimal(prefix, n)
+                return minimal[prefix]
+
+            prefixes, stack = [], [()]
+            while stack:
+                prefix = stack.pop()
+                for e in candidates:
+                    longer = prefix + (e,)
+                    if (not prefix or e > prefix[-1]) and len(longer) <= m \
+                            and _fits(longer, n, d) and is_minimal(longer):
+                        stack.append(longer)
+                        if len(longer) >= 3:
+                            prefixes.append(longer)
+            assert {len(p) for p in prefixes} == set(range(3, m + 1)), (r, d, n)
+            emitting = set()  # whether each emitting prefix is shorter than K
+            for prefix in prefixes:
+                want, seen = [], set()
+                labeled = reference_emissions(EnumSpec(r=r, d=d, n=n, prefix=prefix))
+                for g in labeled:
+                    if all(is_minimal(g.edges[:k])
+                           for k in range(1, max(depth, len(prefix)) + 1)):
+                        canon = canonical_form(g)
+                        if canon not in seen:
+                            seen.add(canon)
+                            want.append(canon)
+                spec = EnumSpec(r=r, d=d, n=n, up_to_iso=True, prefix=prefix)
+                assert collect(spec) == want, prefix
+                if want:
+                    emitting.add(len(prefix) < depth)
+            assert emitting == {True, False}, (r, d, n)
 
     def test_invalid_prefix(self):
         with pytest.raises(InvalidArgumentError):
