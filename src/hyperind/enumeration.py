@@ -100,7 +100,7 @@ K = max(min(2, m), min(ceil(2m/3), ceil(3n/2))) edges, where m = n*d/r.
 The given prefix is tested once, and one that is not minimal emits
 nothing; after that each edge that ends a prefix of at most K edges is
 kept only if the prefix is minimal, and the memo levels are entered only
-past the K-th edge.  So one memo serves every minimal K-prefix, which is
+once K edges are chosen.  So one memo serves every minimal K-prefix, which is
 exact because an entry depends only on the residuals and the start index,
 never on the prefix above it.  The dispatcher canonicalises every graph
 emitted and keeps a class the first time its canonical form appears,
